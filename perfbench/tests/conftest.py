@@ -1,0 +1,8 @@
+"""Import paths for the harness tests: the benchmark's own modules and the
+engine source they drive (``python -m pytest perfbench/tests``)."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
