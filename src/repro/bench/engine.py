@@ -2,8 +2,8 @@
 
 Measurements:
 
-* **Scheduler decisions/sec** at fixed queue depths, fast path vs the
-  retained brute-force reference (``BatchingConfig(fast_path=False)``).
+* **Scheduler decisions/sec** at fixed queue depths, the production
+  scheduler vs its brute-force twin (:func:`repro.oracles.use_references`).
   The queue is populated the way a loaded multi-GPU server's queues look
   in the paper's Figure 7/13 regime: thousands of released chain
   subgraphs, most of them pinned to *other* workers, so the brute-force
@@ -12,9 +12,9 @@ Measurements:
 
 * **Cluster routing decisions/sec** per policy, indexed fast path (the
   event-driven :class:`~repro.cluster.load_index.LoadIndex`) vs the
-  retained brute-force scan (``fast_path=False``), identical decision
-  counts for every policy and both paths, with an inline decision-sequence
-  equality check.
+  brute-force scan (the same router with no index attached), identical
+  decision counts for every policy and both paths, with an inline
+  decision-sequence equality check.
 
 * **Sustained throughput** (:mod:`repro.bench.sustained`): 10^6 requests
   through an 8-replica pool per routing policy with steady completion
@@ -44,8 +44,8 @@ Measurements:
   but the wall-clock).
 
 Results are written to ``BENCH_engine.json`` (repo root) so future PRs can
-compare; ``--check`` fails when decisions/sec (or sustained requests/sec)
-regress by more than 2x against a committed baseline file.  ``--profile``
+compare; ``--check`` fails when any rate in :data:`GATES` regresses by
+more than 2x against a committed baseline file.  ``--profile``
 prints the cProfile top-20 cumulative entries so hot-path hunts don't
 start blind; ``--only`` restricts the run to named sections.
 """
@@ -85,26 +85,28 @@ class _BenchWorker:
         self.worker_id = worker_id
 
 
-def _build_loaded_scheduler(fast_path: bool, depth: int, policies=None):
+def _build_loaded_scheduler(fast: bool, depth: int, policies=None):
     """A scheduler whose single queue holds ``depth`` chain subgraphs, 7/8
-    of them pinned to workers other than the one we schedule for."""
+    of them pinned to workers other than the one we schedule for.
+    ``fast=False`` rewires it onto the brute-force references."""
     from repro.core.cell_graph import CellGraph
     from repro.core.config import BatchingConfig
     from repro.core.request import InferenceRequest
     from repro.core.scheduler import Scheduler
     from repro.core.subgraph import partition_into_subgraphs
     from repro.models import LSTMChainModel
+    from repro.oracles import use_references
 
     model = LSTMChainModel()
     # max_batch 4 / one task per round isolates the per-decision scheduling
     # cost (the quantity under test) from the per-node commit cost that the
     # fast and brute-force paths share.
-    config = BatchingConfig.with_max_batch(
-        4, max_tasks_to_submit=1, fast_path=fast_path
-    )
+    config = BatchingConfig.with_max_batch(4, max_tasks_to_submit=1)
     if policies is not None:
         policies.placement.prepare(BENCH_WORKERS)
     scheduler = Scheduler(config, submit=lambda task, worker: None, policies=policies)
+    if not fast:
+        use_references(scheduler.policies)
     for cell_type in model.cell_types():
         scheduler.register_cell_type(cell_type)
     for rid in range(depth):
@@ -533,7 +535,7 @@ def _time_routing(name: str, num_replicas: int, decisions: int, fast: bool):
         InferenceRequest(i, lengths[i % len(lengths)], 0.0) for i in range(4096)
     ]
     replicas, index = _build_bench_replicas(num_replicas, indexed=fast)
-    router = make_router(name, seed=7, fast_path=fast)
+    router = make_router(name, seed=7)
     if index is not None:
         router.attach_index(index)
         candidates = index.routable()
@@ -575,7 +577,7 @@ def _routing_decisions_identical(
     chosen = []
     for fast in (True, False):
         replicas, index = _build_bench_replicas(num_replicas, indexed=fast)
-        router = make_router(name, seed=7, fast_path=fast)
+        router = make_router(name, seed=7)
         if index is not None:
             router.attach_index(index)
             candidates = index.routable()
@@ -822,125 +824,72 @@ def run_engine_bench(
     return bench
 
 
+# The regression gate, one row per gated rate: (section path, metric key,
+# label).  A trailing ``.*`` on the path gates every entry of the section
+# under its own name; a metric fails when it drops more than
+# REGRESSION_FACTOR below the baseline.  Sections or entries absent from
+# the current run (smoke mode, --only) are skipped.
+GATES = (
+    ("scheduler.*", "fast.decisions_per_sec", "scheduler"),
+    ("cluster.*", "fast.decisions_per_sec", "cluster routing"),
+    ("slo.*", "forms_per_sec", "slo kick decision"),
+    ("memory.model", "pairs_per_sec", "memory accounting"),
+    ("memory.form.*", "forms_per_sec", "memory kick filter"),
+    ("energy.charge", "charges_per_sec", "energy accounting"),
+    ("energy.governors.*", "decisions_per_sec", "governor"),
+    ("sustained.*", "requests_per_sec", "sustained"),
+    ("serve.submit", "submits_per_sec", "serve submit"),
+    ("serve.sync", "outcomes_per_sec", "serve sync"),
+    ("serve.http", "requests_per_sec", "serve http"),
+    ("trace", "events_per_sec", "trace recording"),
+)
+
+
+def _lookup(tree, dotted: str):
+    for key in dotted.split("."):
+        if not isinstance(tree, dict):
+            return None
+        tree = tree.get(key)
+    return tree
+
+
+def _gated_entries(tree: Dict, section: str) -> Dict:
+    """``{label suffix: entry}`` for one GATES section path."""
+    if section.endswith(".*"):
+        node = _lookup(tree, section[:-2])
+        return {f" {name}": entry for name, entry in (node or {}).items()}
+    node = _lookup(tree, section)
+    return {} if node is None else {"": node}
+
+
 def check_regression(current: Dict, baseline_path: str) -> List[str]:
-    """Compare current fast-path decisions/sec against a committed baseline;
-    returns a list of failure messages (empty = ok).  Only a >2x slowdown
-    fails: absolute numbers vary across machines, an order-of-magnitude
-    cliff means the O(1) path broke."""
+    """Compare the current run against a committed baseline; returns a
+    list of failure messages (empty = ok).  Only a >2x slowdown fails:
+    absolute numbers vary across machines, an order-of-magnitude cliff
+    means a fast path broke.  A router whose decisions diverged from its
+    brute-force twin fails regardless of speed."""
     with open(baseline_path) as fh:
         baseline = json.load(fh)
     failures = []
-    for name, entry in baseline.get("scheduler", {}).items():
-        if name not in current.get("scheduler", {}):
-            continue
-        base_rate = entry["fast"]["decisions_per_sec"]
-        cur_rate = current["scheduler"][name]["fast"]["decisions_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"{name}: fast path {cur_rate:,.0f} decisions/s is more than "
-                f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    for name, entry in baseline.get("cluster", {}).items():
-        if name not in current.get("cluster", {}):
-            continue
-        # Schema 5 nests per-path timings; schema <= 4 baselines put the
-        # (brute-force) rate at the top level.
-        base_rate = entry.get("fast", entry)["decisions_per_sec"]
-        cur_entry = current["cluster"][name]
-        cur_rate = cur_entry.get("fast", cur_entry)["decisions_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"cluster routing {name}: {cur_rate:,.0f} decisions/s is more "
-                f"than {REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-        if cur_entry.get("identical_decisions") is False:
+    for section, metric, label in GATES:
+        current_entries = _gated_entries(current, section)
+        for suffix, entry in _gated_entries(baseline, section).items():
+            base_rate = _lookup(entry, metric)
+            cur_rate = _lookup(current_entries.get(suffix), metric)
+            if base_rate and cur_rate is not None and (
+                cur_rate < base_rate / REGRESSION_FACTOR
+            ):
+                unit = metric.rsplit(".", 1)[-1].replace("_per_sec", "/s")
+                failures.append(
+                    f"{label}{suffix}: {cur_rate:,.0f} {unit} is more than "
+                    f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
+                )
+    for name, entry in current.get("cluster", {}).items():
+        if entry.get("identical_decisions") is False:
             failures.append(
                 f"cluster routing {name}: indexed fast path diverged from "
                 "the brute-force decision sequence"
             )
-    for name, entry in baseline.get("slo", {}).items():
-        if name not in current.get("slo", {}):
-            continue
-        base_rate = entry["forms_per_sec"]
-        cur_rate = current["slo"][name]["forms_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"slo kick decision {name}: {cur_rate:,.0f} forms/s is more "
-                f"than {REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    base_memory = baseline.get("memory", {})
-    cur_memory = current.get("memory", {})
-    base_pairs = base_memory.get("model", {}).get("pairs_per_sec")
-    cur_pairs = cur_memory.get("model", {}).get("pairs_per_sec")
-    if base_pairs and cur_pairs and cur_pairs < base_pairs / REGRESSION_FACTOR:
-        failures.append(
-            f"memory accounting: {cur_pairs:,.0f} reserve/release pairs/s is "
-            f"more than {REGRESSION_FACTOR}x below baseline {base_pairs:,.0f}"
-        )
-    for name, entry in base_memory.get("form", {}).items():
-        if name not in cur_memory.get("form", {}):
-            continue
-        base_rate = entry["forms_per_sec"]
-        cur_rate = cur_memory["form"][name]["forms_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"memory kick filter {name}: {cur_rate:,.0f} forms/s is more "
-                f"than {REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    base_energy = baseline.get("energy", {})
-    cur_energy = current.get("energy", {})
-    base_charges = base_energy.get("charge", {}).get("charges_per_sec")
-    cur_charges = cur_energy.get("charge", {}).get("charges_per_sec")
-    if (
-        base_charges
-        and cur_charges
-        and cur_charges < base_charges / REGRESSION_FACTOR
-    ):
-        failures.append(
-            f"energy accounting: {cur_charges:,.0f} charges/s is more than "
-            f"{REGRESSION_FACTOR}x below baseline {base_charges:,.0f}"
-        )
-    for name, entry in base_energy.get("governors", {}).items():
-        if name not in cur_energy.get("governors", {}):
-            continue
-        base_rate = entry["decisions_per_sec"]
-        cur_rate = cur_energy["governors"][name]["decisions_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"governor {name}: {cur_rate:,.0f} decisions/s is more than "
-                f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    for name, entry in baseline.get("sustained", {}).items():
-        if name not in current.get("sustained", {}):
-            continue
-        base_rate = entry["requests_per_sec"]
-        cur_rate = current["sustained"][name]["requests_per_sec"]
-        if base_rate > 0 and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"sustained {name}: {cur_rate:,.0f} requests/s is more than "
-                f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    base_serve = baseline.get("serve", {})
-    cur_serve = current.get("serve", {})
-    for section, rate_key in (
-        ("submit", "submits_per_sec"),
-        ("sync", "outcomes_per_sec"),
-        ("http", "requests_per_sec"),
-    ):
-        base_rate = base_serve.get(section, {}).get(rate_key)
-        cur_rate = cur_serve.get(section, {}).get(rate_key)
-        if base_rate and cur_rate and cur_rate < base_rate / REGRESSION_FACTOR:
-            failures.append(
-                f"serve {section}: {cur_rate:,.0f} {rate_key} is more than "
-                f"{REGRESSION_FACTOR}x below baseline {base_rate:,.0f}"
-            )
-    base_trace = baseline.get("trace", {}).get("events_per_sec")
-    cur_trace = current.get("trace", {}).get("events_per_sec")
-    if base_trace and cur_trace and cur_trace < base_trace / REGRESSION_FACTOR:
-        failures.append(
-            f"trace recording: {cur_trace:,.0f} events/s is more than "
-            f"{REGRESSION_FACTOR}x below baseline {base_trace:,.0f}"
-        )
     return failures
 
 

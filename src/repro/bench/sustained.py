@@ -26,10 +26,7 @@ import time
 from collections import deque
 from typing import Dict, Optional, Sequence
 
-try:  # percentile math; optional like everywhere else in the tree
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 SUSTAINED_REQUESTS = 1_000_000
 SUSTAINED_REPLICAS = 8
@@ -102,10 +99,7 @@ def bench_sustained_policy(
         for i in range(4096)
     ]
     in_flight = deque()
-    if _np is not None:
-        decision_ns = _np.empty(num_requests, dtype=_np.int64)
-    else:
-        decision_ns = [0] * num_requests
+    decision_ns = _np.empty(num_requests, dtype=_np.int64)
 
     perf_ns = time.perf_counter_ns
     start = time.perf_counter()
@@ -136,13 +130,8 @@ def bench_sustained_policy(
             f"{policy}: {router.decisions} decisions for "
             f"{num_requests} requests"
         )
-    if _np is not None:
-        p50_us = float(_np.percentile(decision_ns, 50)) / 1e3
-        p99_us = float(_np.percentile(decision_ns, 99)) / 1e3
-    else:
-        ranked = sorted(decision_ns)
-        p50_us = ranked[len(ranked) // 2] / 1e3
-        p99_us = ranked[min(len(ranked) - 1, int(len(ranked) * 0.99))] / 1e3
+    p50_us = float(_np.percentile(decision_ns, 50)) / 1e3
+    p99_us = float(_np.percentile(decision_ns, 99)) / 1e3
     return {
         "requests": num_requests,
         "num_replicas": num_replicas,

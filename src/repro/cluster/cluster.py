@@ -113,7 +113,7 @@ class ClusterServer(InferenceServer):
                 self._class_plan.extend([rank] * int(cls["replicas"]))
         # Event-driven per-replica load index (DESIGN.md §13): replicas push
         # deltas, load-aware routers pop the tied minimum instead of
-        # scanning.  ``fast_path=False`` on the router keeps the scan.
+        # scanning.
         self.load_index = LoadIndex(now=self.loop.now)
         self.router.attach_index(self.load_index)
         self.cluster_counters = ClusterCounters()

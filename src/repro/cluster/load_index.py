@@ -40,9 +40,9 @@ Invariants (DESIGN.md §13):
 
 The index is owned by :class:`~repro.cluster.cluster.ClusterServer`
 (and by the routing benchmarks); replicas are registered on creation and
-drop out of the routable pool through their state transitions.  The
-retained brute-force scan (``fast_path=False`` on the router) bypasses the
-index entirely.
+drop out of the routable pool through their state transitions.  A
+cluster's brute-force twin (:func:`repro.oracles.brute_force_twin`) takes
+its router off the index, so every decision is a scan.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ replicas is broken by :func:`tie_break`, a pure function of
 ``(seed, request_id)`` over the tied ids (the determinism rule in
 DESIGN.md §11).  Re-running a workload therefore reproduces the exact
 routing decision sequence bit for bit.
+
+Load-aware policies read their minimum off the cluster's
+:class:`~repro.cluster.load_index.LoadIndex`.  The brute-force twin of a
+cluster (:func:`repro.oracles.brute_force_twin`) detaches the router from
+the index so it scans every candidate; the fingerprint suites hold the two
+bit-identical.
 """
 
 from __future__ import annotations
@@ -57,23 +63,22 @@ class RoutingPolicy:
     cursor), but that state must evolve only through ``choose`` calls so
     a fixed workload replays to the same decisions.
 
-    Load-aware policies (``metric`` set) can route off an attached
+    Load-aware policies (``metric`` set) route off an attached
     :class:`~repro.cluster.load_index.LoadIndex` instead of re-deriving
-    every candidate's load per decision: when ``fast_path`` is on and the
-    candidate list is exactly the index's routable pool, the tied minimum
-    is popped from the index's lazy heap.  The index computes keys with the
-    same functions the scan calls and enumerates *all* minimisers in the
-    same candidate order, so the decision sequence — tie-breaks included —
-    is bit-identical either way (``fast_path=False`` keeps the scan).
+    every candidate's load per decision: when the candidate list is exactly
+    the index's routable pool, the tied minimum is popped from the index's
+    lazy heap; any other candidate list falls back to :meth:`_tied_scan`.
+    The index computes keys with the same functions the scan calls and
+    enumerates *all* minimisers in the same candidate order, so the
+    decision sequence — tie-breaks included — is bit-identical either way.
     """
 
     name = "?"
     # Load-index metric this policy minimises; None = not load-aware.
     metric: Optional[str] = None
 
-    def __init__(self, seed: int = 0, fast_path: bool = True):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.fast_path = fast_path
         self.decisions = 0
         self._index = None
         self._mindex = None
@@ -93,12 +98,10 @@ class RoutingPolicy:
     def attach_index(self, index) -> None:
         """Route off ``index`` when it covers the candidate list."""
         self._index = index
-        # None unless this policy is load-aware AND the fast path is on —
-        # a single gate attribute for the inlined hot path.
+        # None unless this policy is load-aware — a single gate attribute
+        # for the inlined hot path.
         self._mindex = (
-            index.metric_index(self.metric)
-            if (self.metric is not None and self.fast_path)
-            else None
+            index.metric_index(self.metric) if self.metric is not None else None
         )
         self._stats = index.stats
 
@@ -122,8 +125,7 @@ class RoutingPolicy:
         """Min-by-key with the seeded tie-break over all minimisers."""
         index = self._index
         if (
-            self.fast_path
-            and index is not None
+            index is not None
             and self.metric is not None
             and index.covers(candidates)
         ):
@@ -136,8 +138,9 @@ class RoutingPolicy:
     def _tied_scan(
         candidates: List[Replica], key: Callable[[Replica], float]
     ) -> List[Replica]:
-        """Brute-force reference: one key evaluation per candidate, then
-        keep every minimiser (candidate order = replica-id order)."""
+        """One key evaluation per candidate, then keep every minimiser
+        (candidate order = replica-id order): the fallback when the index
+        does not cover the candidate list."""
         keys = [key(replica) for replica in candidates]
         best = min(keys)
         return [
@@ -329,8 +332,8 @@ class LengthBucketedRouter(RoutingPolicy):
 
     name = "length_bucketed"
 
-    def __init__(self, seed: int = 0, bucket_width: int = 16, fast_path: bool = True):
-        super().__init__(seed, fast_path=fast_path)
+    def __init__(self, seed: int = 0, bucket_width: int = 16):
+        super().__init__(seed)
         if bucket_width < 1:
             raise ValueError("bucket_width must be >= 1")
         self.bucket_width = int(bucket_width)
@@ -359,8 +362,8 @@ class ClassAffinityRouter(RoutingPolicy):
 
     name = "class_affinity"
 
-    def __init__(self, seed: int = 0, bucket_width: int = 16, fast_path: bool = True):
-        super().__init__(seed, fast_path=fast_path)
+    def __init__(self, seed: int = 0, bucket_width: int = 16):
+        super().__init__(seed)
         if bucket_width < 1:
             raise ValueError("bucket_width must be >= 1")
         self.bucket_width = int(bucket_width)

@@ -20,14 +20,16 @@ incrementally instead of rescanning:
 * ``num_ready_nodes()`` is a counter read.  Subgraphs report ready-count
   deltas to their owning queue (``on_ready_delta``) whenever nodes are
   taken, submitted, or completed.
-* ``_form_batched_task`` walks *eligible* subgraphs only — those with ready
+* Batch formation walks *eligible* subgraphs only — those with ready
   nodes that are unpinned or pinned to the requesting worker — via lazily
   maintained min-heaps keyed by arrival order, so the scan order is
-  bit-identical to the original full-queue FIFO scan.
+  bit-identical to a full-queue FIFO scan.
+* With two or more queues, queue selection reads NumPy mirrors of the
+  counters (:class:`QueueArrays`); one queue keeps the scalar scan.
 
-The original O(queue) scans are retained as the brute-force reference
-(``BatchingConfig(fast_path=False)``); the equivalence test in
-``tests/test_scheduler_equivalence.py`` holds the two bit-identical.
+The O(queue) scans these structures replace live in :mod:`repro.oracles`;
+the equivalence suites hold a server and its brute-force twin
+bit-identical.
 """
 
 from __future__ import annotations
@@ -36,17 +38,13 @@ import heapq
 from collections import Counter, OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
-try:  # numpy backs the vectorized queue-selection arrays; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 from repro.core.cell import CellType
 from repro.core.config import BatchingConfig, CellTypeConfig
 from repro.core.subgraph import Subgraph
 from repro.core.task import BatchedTask
 from repro.policies import PolicyBundle
-from repro.policies.defaults import PaperBatchFormation
 from repro.trace import events as trace_events
 
 
@@ -61,7 +59,7 @@ class QueueArrays:
     in :class:`~repro.policies.defaults.PaperQueuePriority` is a pure
     re-expression of the scalar loop — same winner, every time.
 
-    Only built for fast-path schedulers with at least two queues; a single
+    Only built for schedulers with at least two queues; a single
     LSTM-style queue gains nothing from array dispatch.
     """
 
@@ -113,12 +111,9 @@ class CellTypeQueue:
       transitions never push duplicates.
     """
 
-    def __init__(
-        self, cell_type: CellType, config: CellTypeConfig, fast_path: bool = True
-    ):
+    def __init__(self, cell_type: CellType, config: CellTypeConfig):
         self.cell_type = cell_type
         self.config = config
-        self.fast_path = fast_path
         self.subgraphs: "OrderedDict[int, Subgraph]" = OrderedDict()
         self.running_tasks = 0
         self._ready_total = 0
@@ -134,13 +129,7 @@ class CellTypeQueue:
     # -- ready-node accounting ---------------------------------------------
 
     def num_ready_nodes(self) -> int:
-        if self.fast_path:
-            return self._ready_total
-        return self.recount_ready_nodes()
-
-    def recount_ready_nodes(self) -> int:
-        """Brute-force reference: full rescan of the queue."""
-        return sum(sg.ready_count() for sg in self.subgraphs.values())
+        return self._ready_total
 
     def add(self, sg: Subgraph) -> None:
         sg.owner = self
@@ -249,8 +238,8 @@ class Scheduler:
     where a subgraph's work binds — live in a
     :class:`~repro.policies.PolicyBundle`; this class owns the mechanism
     (queues, counters, task construction, accounting).  When no bundle is
-    given, the paper's defaults are derived from ``config`` (pinning and
-    fast-path flags), reproducing the pre-policy-layer engine bit for bit.
+    given, the paper's defaults are derived from ``config`` (its pinning
+    flag), reproducing the pre-policy-layer engine bit for bit.
     """
 
     def __init__(
@@ -260,7 +249,6 @@ class Scheduler:
         policies: Optional[PolicyBundle] = None,
     ):
         self.config = config
-        self.fast_path = getattr(config, "fast_path", True)
         self.policies = (
             policies if policies is not None else PolicyBundle.from_config(config)
         )
@@ -282,22 +270,20 @@ class Scheduler:
         if cell_type.name in self._queues:
             raise ValueError(f"cell type {cell_type.name!r} registered twice")
         self._queues[cell_type.name] = CellTypeQueue(
-            cell_type,
-            self.config.for_cell(cell_type.name),
-            fast_path=self.fast_path,
+            cell_type, self.config.for_cell(cell_type.name)
         )
         self._queue_list = tuple(self._queues.values())
         self._rebuild_arrays()
 
     def _rebuild_arrays(self) -> None:
         """(Re)build the vectorized-selection mirrors over the registered
-        queues.  Worth it only on the fast path with two or more queues
-        (multi-cell models: seq2seq, attention, tree); a single queue's
-        scalar scan is already one comparison."""
+        queues.  Worth it only with two or more queues (multi-cell models:
+        seq2seq, attention, tree); a single queue's scalar scan is already
+        one comparison."""
         for queue in self._queue_list:
             queue.arrays = None
             queue.slot = -1
-        if self.fast_path and _np is not None and len(self._queue_list) >= 2:
+        if len(self._queue_list) >= 2:
             QueueArrays(self._queue_list)
 
     def add_subgraph(self, sg: Subgraph) -> None:
@@ -334,19 +320,6 @@ class Scheduler:
             else:
                 break
         return num_tasks
-
-    def _form_batched_task(
-        self, queue: CellTypeQueue, worker
-    ) -> List[Tuple[Subgraph, int]]:
-        """The bundle's ``FormBatchedTask`` (kept as a seam for the
-        invariant tests)."""
-        return self.policies.formation.form(queue, worker)
-
-    def _form_batched_task_reference(
-        self, queue: CellTypeQueue, worker
-    ) -> List[Tuple[Subgraph, int]]:
-        """Brute-force reference plan, regardless of the active bundle."""
-        return PaperBatchFormation(fast_path=False).form(queue, worker)
 
     def _commit(
         self,
@@ -399,8 +372,8 @@ class Scheduler:
         memory layer's evict-and-restart (``Manager.restart_request``) both
         come through here.  ``CellTypeQueue.remove`` gives the ready counter
         back and clears the owner, so the lazy heap entries left behind are
-        recognised as stale and discarded on pop — the fast path stays
-        bit-identical to a brute-force rescan.  The formation policy's
+        recognised as stale and discarded on pop — the counters stay equal
+        to a brute-force rescan.  The formation policy's
         ``on_subgraph_removed`` hook fires for each eviction so bundles
         keeping their own eligibility indexes stay consistent.  Returns how
         many subgraphs were evicted."""

@@ -9,10 +9,6 @@ from repro.baselines import FoldServer, PaddedServer
 from repro.core import BatchMakerServer
 from repro.metrics.summary import RunSummary, format_table
 from repro.registry import build_server, presets
-from repro.registry.presets import (  # re-exported for compatibility
-    MXNET_BATCH_OVERHEAD,
-    TENSORFLOW_BATCH_OVERHEAD,
-)
 from repro.server import InferenceServer
 from repro.workload import LoadGenerator
 

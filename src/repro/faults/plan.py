@@ -4,9 +4,9 @@ A :class:`FaultPlan` decides, ahead of time or pseudo-randomly, which
 batched tasks fail or straggle and which devices drop mid-run.  Every
 decision is a pure function of ``(seed, task_id, attempt)`` — *not* of the
 order in which the engine happens to ask — so the same plan yields
-bit-identical fault timestamps under the scheduler's ``fast_path`` on and
-off (which produce the same task stream by PR 1's equivalence guarantee),
-and across retries of unrelated tasks.
+bit-identical fault timestamps for a server and its brute-force twin
+(:func:`repro.oracles.brute_force_twin`, which submits the same task
+stream), and across retries of unrelated tasks.
 
 With the default arguments the plan injects nothing, and a server built
 without a plan skips the hooks entirely: fault injection disabled is

@@ -9,10 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-try:  # backs the vectorized tier selection; optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as _np
 
 from repro.policies.base import (
     BatchFormationPolicy,
@@ -32,7 +29,11 @@ class PaperQueuePriority(QueuePriorityPolicy):
     batch of ready nodes; else (b) cell types with ready nodes and no
     running tasks; else (c) any cell type with ready nodes.  Ties break by
     configured priority (decoder > encoder, internal > leaf), then by name
-    for determinism."""
+    for determinism.
+
+    The scheduler mirrors its counters into :class:`QueueArrays` once it
+    has two or more queues; selection then runs vectorized over those
+    arrays.  A single queue takes the scalar scan."""
 
     name = "paper"
 
@@ -43,14 +44,14 @@ class PaperQueuePriority(QueuePriorityPolicy):
             arrays = getattr(queues[0], "arrays", None)
             if arrays is not None and arrays.queues is queues:
                 return self._select_vector(queues, arrays)
-        return self.select_reference(queues)
+        return self.select_scan(queues)
 
     @staticmethod
     def _select_vector(queues, arrays) -> Optional["CellTypeQueue"]:
         """The three tiers over the scheduler's :class:`QueueArrays`
         mirrors: boolean masks per tier, winner = first masked slot in the
         precomputed (priority, name)-descending order — the vector form of
-        the scalar ``max`` below, same winner bit for bit."""
+        :meth:`select_scan`, same winner bit for bit."""
         ready = arrays.ready
         nonzero = ready > 0
         if not nonzero.any():
@@ -64,11 +65,11 @@ class PaperQueuePriority(QueuePriorityPolicy):
         return queues[int(order[_np.argmax(mask[order])])]
 
     @staticmethod
-    def select_reference(
+    def select_scan(
         queues: Sequence["CellTypeQueue"],
     ) -> Optional["CellTypeQueue"]:
-        """Scalar reference scan — the oracle the vectorized path is held
-        bit-identical to (``tests/test_scheduler_equivalence.py``)."""
+        """The three tiers as a scalar scan over the queues' ready
+        counters: the single-queue path."""
         candidates = [
             q for q in queues if q.num_ready_nodes() >= q.config.max_batch
         ]
@@ -112,19 +113,14 @@ class PaperBatchFormation(BatchFormationPolicy):
     nodes, unpinned or pinned to the requesting worker) in arrival order,
     taking ready nodes until the maximum batch size is reached.
 
-    ``fast_path=True`` walks the queue's lazy eligibility heaps (O(batch +
-    stale entries)); ``fast_path=False`` is the retained brute-force FIFO
-    scan (O(queue)).  Both produce bit-identical plans.
+    Walks the queue's lazy eligibility heaps (O(batch + stale entries));
+    the plans are bit-identical to a full FIFO scan
+    (:class:`repro.oracles.ReferenceBatchFormation`).
     """
 
     name = "paper"
 
-    def __init__(self, fast_path: bool = True):
-        self.fast_path = fast_path
-
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        if not self.fast_path:
-            return self._form_reference(queue, worker)
         plan: Plan = []
         budget = queue.config.max_batch
         while budget > 0:
@@ -139,21 +135,4 @@ class PaperBatchFormation(BatchFormationPolicy):
         # ``queue_seq`` keys keep the FIFO order intact.
         for sg, _ in plan:
             queue.reinsert(sg)
-        return plan
-
-    def _form_reference(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        """Brute-force reference: full FIFO scan past ineligible subgraphs
-        (the pre-optimisation implementation, kept for the equivalence test
-        and as the benchmark baseline)."""
-        plan: Plan = []
-        budget = queue.config.max_batch
-        for sg in queue.subgraphs.values():
-            if budget == 0:
-                break
-            if sg.pinned is not None and sg.pinned != worker.worker_id:
-                continue
-            take = min(sg.ready_count(), budget)
-            if take > 0:
-                plan.append((sg, take))
-                budget -= take
         return plan

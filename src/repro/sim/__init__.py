@@ -10,12 +10,11 @@ pumps the identical event heap with ``EventLoop.run_due`` under asyncio
 timers instead of advancing the clock.
 """
 
-from repro.sim.clock import Clock, RealClock, RealTimeClock, VirtualClock
+from repro.sim.clock import Clock, RealTimeClock, VirtualClock
 from repro.sim.events import Event, EventLoop
 
 __all__ = [
     "Clock",
-    "RealClock",
     "RealTimeClock",
     "VirtualClock",
     "Event",

@@ -70,7 +70,3 @@ class RealTimeClock(Clock):
     def monotonic_offset(self) -> float:
         """``time.monotonic()`` value at this clock's t=0."""
         return self._epoch
-
-
-# Historical name (pre-repro.serve); RealTimeClock is the ROADMAP name.
-RealClock = RealTimeClock

@@ -16,6 +16,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.core.request import RequestState
 from repro.faults import FaultPlan, SLAConfig
 from repro.models import LSTMChainModel
+from repro.oracles import brute_force_twin, recount_ready_nodes
 from repro.workload import SequenceDataset
 from repro.workload.arrivals import PoissonArrivals
 
@@ -31,19 +32,19 @@ def build_server(
     sla: Optional[SLAConfig] = None,
     num_gpus: int = 1,
     max_batch: int = 64,
-    fast_path: bool = True,
+    twin: bool = False,
     model=None,
     **config_kwargs,
 ) -> BatchMakerServer:
-    return BatchMakerServer(
+    """A BatchMaker server; ``twin=True`` returns its brute-force twin."""
+    server = BatchMakerServer(
         model if model is not None else LSTMChainModel(),
-        config=BatchingConfig.with_max_batch(
-            max_batch, fast_path=fast_path, **config_kwargs
-        ),
+        config=BatchingConfig.with_max_batch(max_batch, **config_kwargs),
         num_gpus=num_gpus,
         fault_plan=fault_plan,
         sla=sla,
     )
+    return brute_force_twin(server) if twin else server
 
 
 def run_chaos(
@@ -71,8 +72,8 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
 
     1. Every submitted request reaches exactly one terminal state and is
        reported in exactly one of finished/timed_out/rejected.
-    2. Nothing leaks: no pending events, no queued subgraphs, and the fast
-       path's incremental ready counters match a brute-force recount.
+    2. Nothing leaks: no pending events, no queued subgraphs, and the
+       incremental ready counters match a brute-force recount.
     3. Engine counters reconcile with per-request outcomes.
     4. A finished request with a deadline met it.
     """
@@ -103,7 +104,7 @@ def assert_invariants(server: BatchMakerServer, submitted: List) -> None:
     for queue in scheduler._queues.values():
         assert not queue.subgraphs, f"leaked subgraphs in {queue!r}"
         assert queue.num_ready_nodes() == 0
-        assert queue.recount_ready_nodes() == 0
+        assert recount_ready_nodes(queue) == 0
         assert queue.running_tasks == 0, f"running-task leak in {queue!r}"
     for worker in server.manager.workers:
         assert worker.outstanding == 0, f"in-flight leak on {worker!r}"

@@ -6,9 +6,10 @@ to the brute-force scan — same chosen replica on every single decision,
 seeded tie-breaks included — under autoscaling, replica loss and
 re-routing.  Two independent checks enforce it: a per-decision oracle
 wrapped around ``router.choose`` during chaos runs, and whole-run
-fingerprint equality between a fast-path cluster and a
-``fast_path=False`` twin.  The vectorized queue-priority selection gets
-the same treatment against its scalar reference oracle.
+fingerprint equality between a cluster and its brute-force twin
+(:func:`repro.oracles.brute_force_twin`).  The vectorized queue-priority
+selection gets the same treatment against the scalar reference in
+:mod:`repro.oracles`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.cluster.load_index import METRICS
 from repro.cluster.replica import DEAD, Replica
 from repro.cluster.routing import ROUTERS, make_router, tie_break
 from repro.faults import mix64
+from repro.oracles import brute_force_twin
 from repro.server import InferenceServer
 from repro.sim.events import EventLoop
 
@@ -101,19 +103,20 @@ class TestFastPathEqualsScan:
     @pytest.mark.parametrize("seed", chaos_seeds())
     @pytest.mark.parametrize("policy", sorted(ROUTERS))
     def test_fast_and_brute_clusters_fingerprint_identical(self, policy, seed):
-        """A fast-path cluster and its ``fast_path=False`` twin replay the
-        same workload to identical terminal outcomes, routing counts and
-        scaling timelines — all four policies, every chaos seed."""
+        """A cluster and its brute-force twin replay the same workload to
+        identical terminal outcomes, routing counts and scaling timelines —
+        every policy, every chaos seed."""
 
-        def fingerprint(router_params):
+        def fingerprint(twin):
             cluster = build_lstm_cluster(
                 num_replicas=3,
                 router=policy,
                 seed=seed,
                 autoscaler=_autoscaler(),
                 replica_failures=[(0.01, 1)],
-                router_params=router_params,
             )
+            if twin:
+                brute_force_twin(cluster)
             submitted = run_cluster(cluster, rate=8000.0, num_requests=600)
             assert_cluster_invariants(cluster, submitted)
             terminals = tuple(
@@ -130,7 +133,7 @@ class TestFastPathEqualsScan:
                 cluster.router.decisions,
             )
 
-        assert fingerprint(None) == fingerprint({"fast_path": False})
+        assert fingerprint(False) == fingerprint(True)
 
 
 class TestInlinedTieBreak:
@@ -243,6 +246,7 @@ class TestVectorizedQueueSelection:
         at every scheduling step (and that the vector path actually ran)."""
         from repro.core import BatchMakerServer, BatchingConfig
         from repro.models import Seq2SeqModel
+        from repro.oracles import ReferenceQueuePriority
         from repro.policies.defaults import PaperQueuePriority
         from repro.workload import LoadGenerator, Seq2SeqDataset
 
@@ -251,7 +255,7 @@ class TestVectorizedQueueSelection:
 
         def checking(self, queues):
             winner = original(self, queues)
-            assert winner is PaperQueuePriority.select_reference(queues)
+            assert winner is ReferenceQueuePriority().select(queues)
             compared["total"] += 1
             arrays = getattr(queues[0], "arrays", None) if queues else None
             if arrays is not None and arrays.queues is queues:

@@ -134,3 +134,16 @@ def test_same_workload_same_policy_identical_decisions(router):
         ]
 
     assert decisions() == decisions()
+
+
+@pytest.mark.parametrize("via", ["make_router", "cluster_spec"])
+@pytest.mark.parametrize("router", sorted(ROUTERS))
+def test_stale_fast_path_option_raises(router, via):
+    """Routers have one decision path; a leftover ``fast_path`` option —
+    passed directly or through a spec's ``router_params`` — is a
+    TypeError, not a silent switch to the linear scan."""
+    with pytest.raises(TypeError, match="fast_path"):
+        if via == "make_router":
+            make_router(router, fast_path=False)
+        else:
+            build_lstm_cluster(router=router, router_params={"fast_path": False})

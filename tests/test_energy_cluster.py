@@ -3,9 +3,9 @@ stats (DESIGN.md §17).
 
 The routing contract matches every other load-aware policy
 (``tests/test_cluster_load_index.py``): the event-driven index's choice
-must be bit-identical to a from-scratch scan on every decision, and a
-``fast_path=False`` twin cluster must replay the workload to an identical
-fingerprint.  On top of that, heterogeneity itself: class identity and
+must be bit-identical to a from-scratch scan on every decision, and the
+cluster's brute-force twin (:mod:`repro.oracles`) must replay the
+workload to an identical fingerprint.  On top of that, heterogeneity itself: class identity and
 re-calibrated cost models on build, class-affinity length bucketing,
 autoscaler spawns rebalancing toward the declared mix, and the per-class
 ``ClusterStats`` breakdown the replica-mix sweep reads.
@@ -20,6 +20,7 @@ from tests.cluster_helpers import assert_cluster_invariants
 
 from repro.cluster import build_cluster
 from repro.cluster.routing import payload_length, tie_break
+from repro.oracles import brute_force_twin
 from repro.registry import ClusterSpec
 from repro.registry.presets import (
     eco_energy_spec,
@@ -36,7 +37,7 @@ def _cluster(
     v100=2,
     router="cheapest_energy",
     seed=0,
-    fast_path=True,
+    fast=True,
     bucket_width=32,
     autoscaler=None,
 ):
@@ -48,11 +49,8 @@ def _cluster(
         bucket_width=bucket_width,
         autoscaler=autoscaler,
     )
-    if not fast_path:
-        params = dict(spec.router_params or {})
-        params["fast_path"] = False
-        spec = spec.replace(router_params=params)
-    return build_cluster(spec)
+    cluster = build_cluster(spec)
+    return cluster if fast else brute_force_twin(cluster)
 
 
 def _run(cluster, rate=2000.0, num_requests=200, arrival_seed=7):
@@ -155,8 +153,8 @@ def test_cheapest_energy_every_decision_matches_brute_force(seed):
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_cheapest_energy_fast_and_brute_fingerprint_identical(seed):
     fingerprints = []
-    for fast_path in (True, False):
-        cluster = _cluster(eco=1, v100=2, seed=seed, fast_path=fast_path)
+    for fast in (True, False):
+        cluster = _cluster(eco=1, v100=2, seed=seed, fast=fast)
         submitted = _run(cluster, arrival_seed=seed)
         assert_cluster_invariants(cluster, submitted)
         fingerprints.append(_fingerprint(cluster))
@@ -207,10 +205,8 @@ def test_class_affinity_maps_length_buckets_to_ranks():
 
 def test_class_affinity_is_deterministic_and_fast_path_invariant():
     fingerprints = []
-    for fast_path in (True, False):
-        cluster = _cluster(
-            eco=1, v100=2, router="class_affinity", fast_path=fast_path
-        )
+    for fast in (True, False):
+        cluster = _cluster(eco=1, v100=2, router="class_affinity", fast=fast)
         submitted = _run(cluster)
         assert_cluster_invariants(cluster, submitted)
         fingerprints.append(_fingerprint(cluster))

@@ -28,6 +28,7 @@ from repro.core import BatchMakerServer, BatchingConfig
 from repro.faults import DeviceFailure, FaultPlan
 from repro.gpu.energy import EnergySpec
 from repro.models import LSTMChainModel
+from repro.oracles import brute_force_twin
 from repro.registry import ServerSpec, build_server
 from repro.registry.presets import lstm_energy_spec, v100_energy_spec
 from repro.trace import TraceRecorder
@@ -41,14 +42,16 @@ from .chaos_helpers import (
 )
 
 
-def _server(energy=None, fast_path=True, num_gpus=2, fault_plan=None):
-    return BatchMakerServer(
+def _server(energy=None, fast=True, num_gpus=2, fault_plan=None):
+    """An LSTM server; ``fast=False`` returns its brute-force twin."""
+    server = BatchMakerServer(
         LSTMChainModel(),
-        config=BatchingConfig.with_max_batch(64, fast_path=fast_path),
+        config=BatchingConfig.with_max_batch(64),
         num_gpus=num_gpus,
         fault_plan=fault_plan,
         energy=energy,
     )
+    return server if fast else brute_force_twin(server)
 
 
 def _native_clock_spec(governor="fixed"):
@@ -92,15 +95,15 @@ def _telescope(server):
 # -- 1. bit-identity --------------------------------------------------------
 
 
-@pytest.mark.parametrize("fast_path", [True, False])
+@pytest.mark.parametrize("fast", [True, False])
 @pytest.mark.parametrize("seed", chaos_seeds())
-def test_native_clock_spec_is_bit_identical_to_no_spec(seed, fast_path):
+def test_native_clock_spec_is_bit_identical_to_no_spec(seed, fast):
     """Energy accounting at the native clock is pure observation: same
     terminal outcomes, timestamps, counters and batch compositions as the
     energy-blind engine, for both formation paths and every chaos seed."""
     fingerprints = []
     for energy in (None, _native_clock_spec()):
-        server = _server(energy=energy, fast_path=fast_path)
+        server = _server(energy=energy, fast=fast)
         submitted = run_chaos(
             server, rate=4000.0, num_requests=400, arrival_seed=seed
         )
@@ -108,7 +111,7 @@ def test_native_clock_spec_is_bit_identical_to_no_spec(seed, fast_path):
         fingerprints.append(outcome_fingerprint(server))
     assert fingerprints[0] == fingerprints[1], (
         f"energy accounting perturbed the schedule (seed={seed}, "
-        f"fast_path={fast_path})"
+        f"fast={fast})"
     )
     # ...and it really was watching, not disabled.
     assert _telescope(server) > 0

@@ -145,12 +145,12 @@ def test_everything_at_once(seed):
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fast_path_off_same_invariants(seed):
-    """The brute-force reference scheduler upholds the same invariants
+    """The brute-force twin (repro.oracles) upholds the same invariants
     under the same storm (and test_faults_determinism holds the two
     bit-identical)."""
     plan = FaultPlan(seed=seed, kernel_failure_rate=0.1, straggler_rate=0.1)
     sla = SLAConfig(default_deadline=50e-3, retry=RetryPolicy(max_retries=2))
-    server = build_server(fault_plan=plan, sla=sla, fast_path=False)
+    server = build_server(fault_plan=plan, sla=sla, twin=True)
     submitted = run_chaos(server, num_requests=200, arrival_seed=seed)
     assert_invariants(server, submitted)
 

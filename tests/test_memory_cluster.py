@@ -4,8 +4,8 @@
 The routing contract is the same as every other load-aware policy
 (``tests/test_cluster_load_index.py``): the event-driven index's choice
 must be bit-identical to a from-scratch brute-force scan on every single
-decision, and a ``fast_path=False`` twin cluster must replay the whole
-workload to an identical fingerprint.
+decision, and the cluster's brute-force twin (:mod:`repro.oracles`) must
+replay the whole workload to an identical fingerprint.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from tests.cluster_helpers import assert_cluster_invariants
 
 from repro.cluster import build_cluster
 from repro.cluster.routing import tie_break
+from repro.oracles import brute_force_twin
 from repro.registry.presets import seq2seq_dynamic_cluster_spec
 from repro.workload import Seq2SeqDataset
 from repro.workload.arrivals import PoissonArrivals
@@ -28,7 +29,7 @@ def _cluster(
     capacity_requests=24,
     admission_free_requests=None,
     router="most_free_memory",
-    fast_path=True,
+    fast=True,
     replica_failures=(),
 ):
     spec = seq2seq_dynamic_cluster_spec(
@@ -38,9 +39,8 @@ def _cluster(
         capacity_requests=capacity_requests,
         admission_free_requests=admission_free_requests,
     )
-    if not fast_path:
-        spec = spec.replace(router_params={"fast_path": False})
-    return build_cluster(spec, replica_failures=replica_failures)
+    cluster = build_cluster(spec, replica_failures=replica_failures)
+    return cluster if fast else brute_force_twin(cluster)
 
 
 def _run(cluster, rate=400.0, num_requests=150, arrival_seed=7):
@@ -125,9 +125,9 @@ def test_every_decision_matches_brute_force(seed):
 @pytest.mark.parametrize("seed", chaos_seeds())
 def test_fast_and_brute_clusters_fingerprint_identical(seed):
     fingerprints = []
-    for fast_path in (True, False):
+    for fast in (True, False):
         cluster = _cluster(
-            num_replicas=3, seed=seed, capacity_requests=24, fast_path=fast_path
+            num_replicas=3, seed=seed, capacity_requests=24, fast=fast
         )
         submitted = _run(cluster, arrival_seed=seed)
         assert_cluster_invariants(cluster, submitted)

@@ -24,6 +24,7 @@ import pytest
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.gpu.memory import DEFAULT_STATE_BYTES, MemorySpec
 from repro.models import LSTMChainModel, Seq2SeqModel
+from repro.oracles import brute_force_twin
 from repro.policies import MemoryAwareFormation, bundle_from_names
 from repro.registry import ServerSpec, build_server
 from repro.registry.presets import (
@@ -42,9 +43,9 @@ from .chaos_helpers import (
 )
 
 
-def _lstm_server(formation, priority=None, fast_path=True, memory=None):
-    config = BatchingConfig.with_max_batch(32, fast_path=fast_path)
-    return BatchMakerServer(
+def _lstm_server(formation, priority=None, fast=True, memory=None):
+    config = BatchingConfig.with_max_batch(32)
+    server = BatchMakerServer(
         LSTMChainModel(),
         config=config,
         num_gpus=1,
@@ -53,6 +54,7 @@ def _lstm_server(formation, priority=None, fast_path=True, memory=None):
             config, priority=priority, formation=formation
         ),
     )
+    return server if fast else brute_force_twin(server)
 
 
 def _dynamic_server(formation, memory, num_gpus=2):
@@ -100,7 +102,7 @@ def _tight_spec(capacity_requests=24, admission_free_requests=None):
 
 
 @pytest.mark.parametrize(
-    "priority, fast_path",
+    "priority, fast",
     [
         ("paper", True),
         ("paper", False),
@@ -108,19 +110,19 @@ def _tight_spec(capacity_requests=24, admission_free_requests=None):
         ("longest_queue", True),
     ],
 )
-def test_memory_aware_inert_without_spec(priority, fast_path):
+def test_memory_aware_inert_without_spec(priority, fast):
     """paper vs memory_aware formation, same bundle otherwise, no
     MemorySpec: identical terminal outcomes, timestamps, counters and
     batch sizes."""
     fingerprints = []
     for formation in ("paper", "memory_aware"):
-        server = _lstm_server(formation, priority=priority, fast_path=fast_path)
+        server = _lstm_server(formation, priority=priority, fast=fast)
         submitted = run_chaos(server, rate=4000.0, num_requests=400)
         assert_invariants(server, submitted)
         fingerprints.append(outcome_fingerprint(server))
     assert fingerprints[0] == fingerprints[1], (
         f"memory_aware not inert without a MemorySpec (priority={priority}, "
-        f"fast_path={fast_path})"
+        f"fast={fast})"
     )
     policy = server.manager.policies.formation
     assert isinstance(policy, MemoryAwareFormation)

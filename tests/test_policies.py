@@ -3,10 +3,10 @@
 The tentpole guarantee: running the engine with the *default*
 :class:`~repro.policies.PolicyBundle` — whether derived implicitly from
 the config, constructed explicitly, or assembled by registry name — is
-bit-identical (fixed seed, fast path on or off) to the engine's
-decisions.  Variants must run to completion, and every bundled policy
-must keep the fast-path ready counters consistent with a brute-force
-recount across evictions.
+bit-identical (fixed seed, production engine or its brute-force twin in
+:mod:`repro.oracles`) to the engine's decisions.  Variants must run to
+completion, and every bundled policy must keep the incremental ready
+counters consistent with a brute-force recount across evictions.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from repro.core.request import InferenceRequest
 from repro.core.scheduler import Scheduler
 from repro.core.subgraph import partition_into_subgraphs
 from repro.models import LSTMChainModel, Seq2SeqModel
+from repro.oracles import brute_force_twin, recount_ready_nodes
 from repro.policies import (
     FORMATION_POLICIES,
     PLACEMENT_POLICIES,
@@ -55,32 +56,34 @@ def _seq2seq_config(**overrides):
     )
 
 
-def _server(config, policies=None):
-    return BatchMakerServer(
+def _server(config, policies=None, fast=True):
+    """A seq2seq server; ``fast=False`` returns its brute-force twin."""
+    server = BatchMakerServer(
         Seq2SeqModel(), config=config, num_gpus=2, policies=policies
     )
+    return server if fast else brute_force_twin(server)
 
 
 class TestDefaultBundleBitIdentity:
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_explicit_default_bundle_matches_implicit(self, fast_path):
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_explicit_default_bundle_matches_implicit(self, fast):
         """policies=None and an explicit from_config bundle decide
         identically — the refactor moved code, not behaviour."""
-        config = _seq2seq_config(fast_path=fast_path)
-        implicit = _fingerprint(_server(config))
+        config = _seq2seq_config()
+        implicit = _fingerprint(_server(config, fast=fast))
         explicit = _fingerprint(
-            _server(config, policies=PolicyBundle.from_config(config))
+            _server(config, policies=PolicyBundle.from_config(config), fast=fast)
         )
         assert implicit == explicit
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_bundle_assembled_by_name_matches(self, fast_path):
-        config = _seq2seq_config(fast_path=fast_path)
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_bundle_assembled_by_name_matches(self, fast):
+        config = _seq2seq_config()
         named = bundle_from_names(
             config, priority="paper", placement="pinned", formation="paper"
         )
-        assert _fingerprint(_server(config)) == _fingerprint(
-            _server(config, policies=named)
+        assert _fingerprint(_server(config, fast=fast)) == _fingerprint(
+            _server(config, policies=named, fast=fast)
         )
 
     def test_unpinned_swap_matches_pinning_flag(self):
@@ -214,7 +217,7 @@ class TestEvictionCounterConsistency:
         for round_robin in range(64):
             if scheduler.schedule(workers[round_robin % len(workers)]) == 0:
                 if all(
-                    q.recount_ready_nodes() == 0
+                    recount_ready_nodes(q) == 0
                     for q in scheduler._queues.values()
                 ):
                     break
@@ -223,4 +226,4 @@ class TestEvictionCounterConsistency:
     @staticmethod
     def _assert_counters_exact(scheduler):
         for queue in scheduler._queues.values():
-            assert queue.num_ready_nodes() == queue.recount_ready_nodes()
+            assert queue.num_ready_nodes() == recount_ready_nodes(queue)

@@ -58,7 +58,6 @@ class TestSpecRoundTrip:
             per_cell_priority={"decoder": 1, "encoder": 0},
             max_tasks_to_submit=3,
             pinning=False,
-            fast_path=False,
         )
         assert BatchingConfig.from_dict(config.to_dict()) == config
         assert CellTypeConfig.from_dict(

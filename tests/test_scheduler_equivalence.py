@@ -1,18 +1,27 @@
-"""Equivalence of the scheduler's O(1) fast path and the brute-force
-reference.
+"""Equivalence of the scheduler's O(1) fast path and its brute-force twin.
 
 The incremental ready-count accounting and eligibility indexes must change
 *nothing* about Algorithm 1's decisions: with a fixed seed, a mid-load
-simulation run with ``fast_path=True`` must be bit-identical — same
+simulation run of the production server must be bit-identical — same
 ``tasks_submitted``, same ``batch_size_counts`` histogram, same
-``RunSummary`` — to one run with the retained O(queue) scans
-(``fast_path=False``).
+``RunSummary`` — to one run of its twin from
+:func:`repro.oracles.brute_force_twin`, which uses the O(queue) scans.
 """
 
 import pytest
 
 from repro.core import BatchMakerServer, BatchingConfig
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
+from repro.oracles import (
+    ReferenceBatchFormation,
+    ReferenceQueuePriority,
+    brute_force_twin,
+)
+from repro.policies import (
+    PaperBatchFormation,
+    PaperQueuePriority,
+    bundle_from_names,
+)
 from repro.workload import (
     LoadGenerator,
     Seq2SeqDataset,
@@ -43,8 +52,10 @@ def _run(server_factory, dataset, rate, num_requests):
 
 
 def _compare(make_server, make_dataset, rate, num_requests):
-    fast = _run(lambda: make_server(True), make_dataset(), rate, num_requests)
-    brute = _run(lambda: make_server(False), make_dataset(), rate, num_requests)
+    fast = _run(make_server, make_dataset(), rate, num_requests)
+    brute = _run(
+        lambda: brute_force_twin(make_server()), make_dataset(), rate, num_requests
+    )
     assert fast == brute
 
 
@@ -53,10 +64,9 @@ class TestFastPathEquivalence:
         """Chain LSTM at a rate where the queue holds hundreds of released
         subgraphs — the regime the fast path exists for."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
-                LSTMChainModel(),
-                config=BatchingConfig.with_max_batch(512, fast_path=fast_path),
+                LSTMChainModel(), config=BatchingConfig.with_max_batch(512)
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 8000, 1500)
@@ -65,13 +75,11 @@ class TestFastPathEquivalence:
         """TreeLSTM on 2 GPUs: exercises pinned-elsewhere skipping, the
         leaf/internal priority split, and exhausted-subgraph removal."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 TreeLSTMModel(),
                 config=BatchingConfig.with_max_batch(
-                    64,
-                    per_cell_priority={"tree_internal": 1, "tree_leaf": 0},
-                    fast_path=fast_path,
+                    64, per_cell_priority={"tree_internal": 1, "tree_leaf": 0}
                 ),
                 num_gpus=2,
             )
@@ -82,14 +90,13 @@ class TestFastPathEquivalence:
         """Seq2Seq with per-cell-type max batches and decoder priority:
         exercises the three-tier candidate selection across queues."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 Seq2SeqModel(),
                 config=BatchingConfig.with_max_batch(
                     512,
                     per_cell_max={"decoder": 256},
                     per_cell_priority={"decoder": 1, "encoder": 0},
-                    fast_path=fast_path,
                 ),
                 num_gpus=2,
             )
@@ -100,18 +107,46 @@ class TestFastPathEquivalence:
         """pinning=False flips subgraphs to non-optimistic readiness (deps
         advance on completion) — the counters must track that path too."""
 
-        def make_server(fast_path):
+        def make_server():
             return BatchMakerServer(
                 LSTMChainModel(),
-                config=BatchingConfig.with_max_batch(
-                    512, pinning=False, fast_path=fast_path
-                ),
+                config=BatchingConfig.with_max_batch(512, pinning=False),
                 num_gpus=2,
             )
 
         _compare(make_server, lambda: SequenceDataset(seed=1), 5000, 800)
 
     def test_fast_path_is_the_default(self):
-        assert BatchingConfig().fast_path is True
-        assert BatchingConfig.with_max_batch(512).fast_path is True
-        assert BatchingConfig(fast_path=False).fast_path is False
+        """A server runs the incremental policies unless rewired by
+        repro.oracles; there is no setting that selects the scans."""
+        server = BatchMakerServer(
+            LSTMChainModel(), config=BatchingConfig.with_max_batch(512)
+        )
+        assert type(server.manager.policies.priority) is PaperQueuePriority
+        assert type(server.manager.policies.formation) is PaperBatchFormation
+        assert set(BatchingConfig().to_dict()) == {
+            "default",
+            "per_cell",
+            "max_tasks_to_submit",
+            "pinning",
+        }
+        with pytest.raises(TypeError, match="fast_path"):
+            BatchingConfig(fast_path=False)
+
+    @pytest.mark.parametrize("formation", ["paper", "lazy_kick", "memory_aware"])
+    def test_twin_runs_the_references(self, formation):
+        """The twin really swaps in the brute-force priority and formation,
+        including the paper formation a wrapping policy plans through."""
+        config = BatchingConfig.with_max_batch(512)
+        server = brute_force_twin(
+            BatchMakerServer(
+                LSTMChainModel(),
+                config=config,
+                policies=bundle_from_names(config, formation=formation),
+            )
+        )
+        policies = server.manager.policies
+        assert server.manager.scheduler.policies is policies
+        assert isinstance(policies.priority, ReferenceQueuePriority)
+        planner = getattr(policies.formation, "inner", policies.formation)
+        assert isinstance(planner, ReferenceBatchFormation)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.sim.clock import RealClock, VirtualClock
+from repro.sim.clock import RealTimeClock, VirtualClock
 
 
 class TestVirtualClock:
@@ -37,14 +37,14 @@ class TestVirtualClock:
 
 class TestRealClock:
     def test_starts_near_zero(self):
-        clock = RealClock()
+        clock = RealTimeClock()
         assert 0.0 <= clock.now() < 0.5
 
     def test_time_moves_forward(self):
-        clock = RealClock()
+        clock = RealTimeClock()
         first = clock.now()
         time.sleep(0.01)
         assert clock.now() > first
 
     def test_is_not_virtual(self):
-        assert RealClock().is_virtual() is False
+        assert RealTimeClock().is_virtual() is False

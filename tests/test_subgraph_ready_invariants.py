@@ -21,6 +21,11 @@ from repro.core.request_processor import RequestProcessor
 from repro.core.scheduler import Scheduler
 from repro.models import LSTMChainModel, Seq2SeqModel, TreeLSTMModel
 from repro.models.tree_lstm import TreeNodeSpec, TreePayload
+from repro.oracles import (
+    form_batched_task,
+    form_batched_task_reference,
+    recount_ready_nodes,
+)
 
 
 class FakeWorker:
@@ -75,7 +80,7 @@ class Harness:
     def assert_invariants(self):
         total = 0
         for queue in self.scheduler._queue_list:
-            recount = queue.recount_ready_nodes()
+            recount = recount_ready_nodes(queue)
             assert queue.num_ready_nodes() == recount, (
                 f"{queue.cell_type.name}: counter {queue.num_ready_nodes()} "
                 f"!= brute-force recount {recount}"
@@ -83,16 +88,14 @@ class Harness:
             assert queue._ready_total == recount
             total += recount
             for worker in self.workers:
-                fast = self.scheduler._form_batched_task(queue, worker)
-                reference = self.scheduler._form_batched_task_reference(
-                    queue, worker
-                )
+                fast = form_batched_task(self.scheduler, queue, worker)
+                reference = form_batched_task_reference(queue, worker)
                 assert [(sg.subgraph_id, n) for sg, n in fast] == [
                     (sg.subgraph_id, n) for sg, n in reference
                 ], f"{queue.cell_type.name} plan mismatch for worker {worker.worker_id}"
                 # Planning must be side-effect free.
                 assert queue._ready_total == recount
-                assert queue.recount_ready_nodes() == recount
+                assert recount_ready_nodes(queue) == recount
         assert self.scheduler.total_ready_nodes() == total
 
 
@@ -164,4 +167,4 @@ def test_take_ready_notifies_owner_exactly_once():
     taken = sg.take_ready(1)
     assert queue.num_ready_nodes() == 0
     sg.mark_submitted(taken)  # optimistic: successor becomes ready
-    assert queue.num_ready_nodes() == 1 == queue.recount_ready_nodes()
+    assert queue.num_ready_nodes() == 1 == recount_ready_nodes(queue)
