@@ -59,14 +59,6 @@ class GraphBatchingServer(InferenceServer):
         return [0.0] * len(requests)
 
     def _accept(self, request: InferenceRequest) -> None:
-        if self._trace is not None:
-            from repro.trace import events as trace_events
-
-            self._trace.instant(
-                trace_events.REQUEST_ARRIVAL,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-            )
         self._enqueue(request)
         # Defer dispatch to the end of the current timestamp so that
         # simultaneously-arriving requests land in one batch rather than the

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.spec_keys import check_keys
+
 
 class AutoscalerConfig:
     """Autoscaling knobs, JSON round-trippable (nested in ``ClusterSpec``).
@@ -86,6 +88,7 @@ class AutoscalerConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AutoscalerConfig":
+        check_keys(cls, data)
         return cls(**data)
 
     def __repr__(self) -> str:

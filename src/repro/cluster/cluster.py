@@ -11,14 +11,19 @@ outcomes back onto its own logical requests.
 Life of a request:
 
 1. ``submit`` creates the logical :class:`InferenceRequest` (cluster-wide
-   id) and schedules its arrival.
+   id) and schedules its arrival; the inherited ``_arrive`` records it.
 2. At arrival, the router picks a replica among the routable candidates
    (replica-id order, seeded tie-breaks — DESIGN.md §11) and the replica
-   materialises a *shadow* request that runs on its engine.
+   materialises a *shadow* request that runs on its engine.  Front-door
+   rejections (no replica, SLA, memory) go through ``_reject``, which
+   records the terminal with the inherited ``_record_terminal``.
 3. Reconciliation (amortised O(1), on each arrival and on terminal-list
    access) copies the shadow's terminal outcome onto the logical request.
+   It only folds outcomes the replica already recorded, so it emits no
+   lifecycle instants of its own.
 4. If the replica dies first, the cluster re-routes the logical request
-   as a fresh shadow on a survivor; only with no survivor is it rejected.
+   as a fresh shadow on a survivor; only with no survivor is it rejected
+   (``_reject`` again).
 
 With one replica and no autoscaler the cluster adds *zero* events and
 *zero* decisions: the shadow stream equals a bare ``build_server()`` run
@@ -156,8 +161,9 @@ class ClusterServer(InferenceServer):
 
     # -- terminal lists: reconciled views -----------------------------------
     # The base class assigns plain lists in __init__; these properties keep
-    # that storage (the setters) but make every read reconcile replica
-    # outcomes first, so ``finished``/``timed_out``/``rejected`` are always
+    # those very lists as storage (the setters — _record_terminal appends
+    # to them directly) but make every read reconcile replica outcomes
+    # first, so ``finished``/``timed_out``/``rejected`` are always
     # consistent with the replicas' current state.
 
     @property
@@ -167,7 +173,7 @@ class ClusterServer(InferenceServer):
 
     @finished.setter
     def finished(self, value) -> None:
-        self._finished = list(value)
+        self._finished = value
 
     @property
     def timed_out(self) -> List[InferenceRequest]:
@@ -176,7 +182,7 @@ class ClusterServer(InferenceServer):
 
     @timed_out.setter
     def timed_out(self, value) -> None:
-        self._timed_out = list(value)
+        self._timed_out = value
 
     @property
     def rejected(self) -> List[InferenceRequest]:
@@ -185,7 +191,7 @@ class ClusterServer(InferenceServer):
 
     @rejected.setter
     def rejected(self, value) -> None:
-        self._rejected = list(value)
+        self._rejected = value
 
     # -- replica lifecycle ---------------------------------------------------
 
@@ -371,27 +377,12 @@ class ClusterServer(InferenceServer):
         self._reconcile()
         candidates = self._candidates()
         now = self.loop.now()
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REQUEST_ARRIVAL,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-            )
         if not candidates:
-            request.mark_rejected(now, reason="no_replicas")
-            self.cluster_counters.cluster_rejections += 1
-            self._rejected.append(request)
-            if self._trace is not None:
-                self._trace.instant(
-                    trace_events.REQUEST_REJECTED,
-                    trace_events.LIFECYCLE,
-                    request_id=request.request_id,
-                    args={"reason": "no_replicas"},
-                )
+            self._reject(request, "no_replicas", "cluster_rejections")
             return
         if self.sla is not None and self._sla_reject(request, candidates, now):
             return
-        if self.memory is not None and self._memory_reject(request, candidates, now):
+        if self.memory is not None and self._memory_reject(request, candidates):
             return
         replica = self.router.choose(request, candidates)
         shadow = replica.route(request, now)
@@ -440,20 +431,11 @@ class ClusterServer(InferenceServer):
                 over = now + best_wait > deadline
         if not over:
             return False
-        request.mark_rejected(now, reason="sla_reject")
-        self.cluster_counters.sla_rejections += 1
-        self._rejected.append(request)
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REQUEST_REJECTED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-                args={"reason": "sla_reject"},
-            )
+        self._reject(request, "sla_reject", "sla_rejections")
         return True
 
     def _memory_reject(
-        self, request: InferenceRequest, candidates: List[Replica], now: float
+        self, request: InferenceRequest, candidates: List[Replica]
     ) -> bool:
         """Shed ``request`` at the front door while no candidate replica
         has ``admission_free_bytes`` of free device memory — routing it
@@ -466,17 +448,17 @@ class ClusterServer(InferenceServer):
             return False
         if max(r.free_memory() for r in candidates) >= threshold:
             return False
-        request.mark_rejected(now, reason="memory_reject")
-        self.cluster_counters.memory_rejections += 1
-        self._rejected.append(request)
-        if self._trace is not None:
-            self._trace.instant(
-                trace_events.REQUEST_REJECTED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-                args={"reason": "memory_reject"},
-            )
+        self._reject(request, "memory_reject", "memory_rejections")
         return True
+
+    def _reject(self, request: InferenceRequest, reason: str, counter: str) -> None:
+        """A front-door rejection: mark ``request`` rejected, bump the named
+        :class:`~repro.cluster.metrics.ClusterCounters` field, and record
+        the terminal on the backing list (not the reconciling property)."""
+        request.mark_rejected(self.loop.now(), reason=reason)
+        counters = self.cluster_counters
+        setattr(counters, counter, getattr(counters, counter) + 1)
+        self._record_terminal(request)
 
     # -- reconciliation ------------------------------------------------------
 
@@ -593,16 +575,7 @@ class ClusterServer(InferenceServer):
                         },
                     )
             else:
-                logical.mark_rejected(now, reason="no_replicas")
-                self.cluster_counters.requests_lost += 1
-                self._rejected.append(logical)
-                if self._trace is not None:
-                    self._trace.instant(
-                        trace_events.REQUEST_REJECTED,
-                        trace_events.LIFECYCLE,
-                        request_id=logical.request_id,
-                        args={"reason": "no_replicas"},
-                    )
+                self._reject(logical, "no_replicas", "requests_lost")
 
     # -- reporting -----------------------------------------------------------
 

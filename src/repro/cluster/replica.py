@@ -5,7 +5,10 @@ template and tracks the *shadow* requests the cluster routed to it.  The
 cluster's logical requests never enter a replica engine directly — each
 routing decision materialises a fresh shadow :class:`InferenceRequest`
 (replica-local id, same payload, same absolute deadline) and hands it to
-the replica server's ``_accept`` at the logical arrival time.  That
+the replica server's ``_arrive`` at the logical arrival time — the same
+lifecycle entry a standalone ``submit`` schedules, so the replica records
+the shadow's arrival and, through ``_record_terminal``, its terminal
+outcome exactly as a bare server would.  That
 indirection is what makes replica loss recoverable: when a replica dies,
 the shadows die with it and the cluster re-routes the still-live logical
 requests as *new* shadows on survivors, while each logical request still
@@ -225,7 +228,7 @@ class Replica:
         shadow.deadline = logical.deadline  # absolute; shared virtual clock
         self.shadow_of[shadow.request_id] = logical
         self.routed += 1
-        self.server._accept(shadow)
+        self.server._arrive(shadow)
         if self._index is not None:  # routed moved both load metrics
             self._index.touch(self)
         return shadow

@@ -2,7 +2,10 @@
 
 Wraps the manager pipeline behind the common :class:`InferenceServer`
 interface so the load generator and the experiment harness can drive
-BatchMaker and the baselines identically.
+BatchMaker and the baselines identically.  Arrivals enter through the
+inherited ``_arrive``; the manager hands every request it makes terminal
+(finished, timed out or rejected) to the inherited ``_record_terminal``,
+its one ``on_terminal`` callback.
 """
 
 from __future__ import annotations
@@ -91,11 +94,9 @@ class BatchMakerServer(InferenceServer):
             cost_model=cost_model,
             num_workers=num_gpus,
             real_compute=real_compute,
-            on_request_finished=self._request_finished,
+            on_terminal=self._record_terminal,
             fault_plan=fault_plan,
             sla=sla,
-            on_request_timed_out=self._request_timed_out,
-            on_request_rejected=self._request_rejected,
             policies=policies,
             memory=memory,
             energy=energy,
@@ -104,33 +105,14 @@ class BatchMakerServer(InferenceServer):
         self._autotrace()
 
     def _apply_trace_scope(self, scope) -> None:
-        """Push the scope into the pipeline: the manager records request
-        lifecycle and task spans, the scheduler batch-formation/eviction."""
+        """Push the scope into the pipeline: the manager records task spans,
+        retries, restarts and device loss, the scheduler batch-formation/
+        eviction (arrivals and terminals are this server's own)."""
         self.manager.trace = scope
         self.manager.scheduler.trace = scope
 
     def _accept(self, request: InferenceRequest) -> None:
         self.manager.submit_request(request)
-
-    # -- terminal-list appends (fed to the manager as callbacks) -------------
-    # Kept as methods rather than bound ``list.append``s so a terminal
-    # outcome also fires ``load_listener`` — the outstanding-count delta the
-    # cluster's routing index subscribes to (DESIGN.md §13).
-
-    def _request_finished(self, request: InferenceRequest) -> None:
-        self.finished.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
-
-    def _request_timed_out(self, request: InferenceRequest) -> None:
-        self.timed_out.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
-
-    def _request_rejected(self, request: InferenceRequest) -> None:
-        self.rejected.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
 
     # -- stats used by the experiment harness --------------------------------
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.spec_keys import check_keys
+
 
 class CellTypeConfig:
     """Per-cell-type knobs.
@@ -48,6 +50,7 @@ class CellTypeConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CellTypeConfig":
+        check_keys(cls, data)
         return cls(
             batch_sizes=data.get("batch_sizes", cls().batch_sizes),
             priority=data.get("priority", 0),
@@ -151,6 +154,7 @@ class BatchingConfig:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BatchingConfig":
+        check_keys(cls, data)
         return cls(
             default=CellTypeConfig.from_dict(data.get("default", {})),
             per_cell={

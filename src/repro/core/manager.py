@@ -17,10 +17,13 @@ Failure handling (DESIGN.md §8) is layered on top and inert by default:
   exponential backoff on a surviving device, and sheds load at admission
   when the projected queueing delay exceeds the SLO.
 
-Every request reaches exactly one terminal state — FINISHED, TIMED_OUT or
-REJECTED — and the :class:`~repro.metrics.FaultCounters` reconcile with
-those outcomes; the chaos suite (``tests/test_faults_*``) holds both
-invariants under randomized fault schedules.
+The owning server's ``_arrive`` records each arrival before calling
+``submit_request``; every request the manager makes terminal — FINISHED,
+TIMED_OUT or REJECTED, exactly one of them — is marked here and handed to
+the server's ``on_terminal`` callback, which records it.  The
+:class:`~repro.metrics.FaultCounters` reconcile with those outcomes; the
+chaos suite (``tests/test_faults_*``) holds both invariants under
+randomized fault schedules.
 """
 
 from __future__ import annotations
@@ -58,13 +61,11 @@ class Manager:
         model: Model,
         config: BatchingConfig,
         cost_model: CostModel,
+        on_terminal: Callable[[InferenceRequest], None],
         num_workers: int = 1,
         real_compute: bool = False,
-        on_request_finished: Optional[Callable[[InferenceRequest], None]] = None,
         fault_plan: Optional[FaultPlan] = None,
         sla: Optional[SLAConfig] = None,
-        on_request_timed_out: Optional[Callable[[InferenceRequest], None]] = None,
-        on_request_rejected: Optional[Callable[[InferenceRequest], None]] = None,
         policies: Optional[PolicyBundle] = None,
         memory: Optional[MemorySpec] = None,
         energy: Optional[EnergySpec] = None,
@@ -75,9 +76,7 @@ class Manager:
         self.model = model
         self.config = config
         self.cost_model = cost_model
-        self._on_request_finished = on_request_finished
-        self._on_request_timed_out = on_request_timed_out
-        self._on_request_rejected = on_request_rejected
+        self._on_terminal = on_terminal
 
         # Failure machinery; inert (and unqueried) when left at None.
         self.fault_plan = (
@@ -85,14 +84,15 @@ class Manager:
             else None
         )
         self.sla = sla
+        # Failed tasks and evict-and-restart preemptions back off and retry
+        # under this policy (the default one when no SLA is given).
+        self.retry = sla.retry if sla is not None else RetryPolicy()
         # Latency predictor (repro.policies.predict): fed from completed
-        # tasks/requests when present.  Installed from the SLA config, or by
-        # an SLA-aware formation policy's attach_engine (lazy kick); None
-        # means no predictions are maintained (zero-cost default).
-        self.predictor = sla.predictor if sla is not None else None
+        # tasks/requests when present.  Installed by an SLA-aware formation
+        # policy's attach_engine (lazy kick); None means no predictions are
+        # maintained (zero-cost default).
+        self.predictor = None
         self.fault_counters = FaultCounters()
-        self.timed_out_requests: List[InferenceRequest] = []
-        self.rejected_requests: List[InferenceRequest] = []
         # Running per-node service-time estimate (EWMA) for the projected
         # queueing delay used by load shedding.
         self._node_time_estimate = 0.0
@@ -172,7 +172,6 @@ class Manager:
         # Tracing scope (repro.trace), pushed down by the owning server's
         # attach_trace; None = record nothing (the zero-cost default).
         self.trace = None
-        self.finished_requests: List[InferenceRequest] = []
         # Same coalesced end-of-timestamp dispatch the graph-batching
         # baselines use (repro.server.DeferredKick): simultaneous arrivals
         # batch together instead of the first grabbing an idle worker alone.
@@ -200,17 +199,10 @@ class Manager:
         simultaneously-arriving requests can be batched together instead of
         the first one grabbing an idle worker alone.
         """
-        if self.trace is not None:
-            self.trace.instant(
-                trace_events.REQUEST_ARRIVAL,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-            )
         reject_reason = None
-        if self.fault_plan is not None and not any(w.alive for w in self.workers):
-            # Every device is dead: without this check a request arriving
-            # after total device loss would queue forever (devices only die
-            # through the fault plan, so the healthy hot path skips it).
+        if not any(w.alive for w in self.workers):
+            # Every device is dead (a fault plan or a whole-replica loss):
+            # a request admitted now would queue forever.
             reject_reason = "no_devices"
         elif self.sla is not None and self._should_shed(request):
             reject_reason = "load_shed"
@@ -222,16 +214,7 @@ class Manager:
         if reject_reason is not None:
             request.mark_rejected(self.loop.now(), reason=reject_reason)
             self.fault_counters.requests_rejected += 1
-            self.rejected_requests.append(request)
-            if self.trace is not None:
-                self.trace.instant(
-                    trace_events.REQUEST_REJECTED,
-                    trace_events.LIFECYCLE,
-                    request_id=request.request_id,
-                    args={"reason": reject_reason},
-                )
-            if self._on_request_rejected is not None:
-                self._on_request_rejected(request)
+            self._on_terminal(request)
             return
         if self.sla is not None:
             if request.deadline is None and self.sla.default_deadline is not None:
@@ -257,8 +240,6 @@ class Manager:
     # -- SLA: admission control ---------------------------------------------
 
     def _should_shed(self, request: InferenceRequest) -> bool:
-        if not any(w.alive for w in self.workers):
-            return True  # no devices left: reject rather than hang
         if self.sla.max_queue_delay is None:
             return False
         return self.projected_queue_delay() > self.sla.max_queue_delay
@@ -295,7 +276,7 @@ class Manager:
             # stays bit-identical (this branch is never taken without a
             # spec).  Retries reuse whatever frequency is then in effect.
             self._govern_frequency(worker)
-        extra = self._migration_cost(task, worker)
+        extra = self.policies.placement.migration_cost(task, worker)
         if self.memory_spec is not None:
             self._reserve_for_task(task, worker)
         for subgraph, _ in task.entries:
@@ -314,11 +295,6 @@ class Manager:
             elif fault.kind == STRAGGLER:
                 self.fault_counters.stragglers_injected += 1
         return fault
-
-    def _migration_cost(self, task: BatchedTask, worker: Worker) -> float:
-        """Cross-device copy cost (placement policy) — zero under pinning,
-        which is the point of pinning."""
-        return self.policies.placement.migration_cost(task, worker)
 
     # -- energy accounting and DVFS (DESIGN.md §17) --------------------------
 
@@ -441,8 +417,7 @@ class Manager:
                     f"cannot restart request {request.request_id}: "
                     f"subgraph {sg.subgraph_id} has nodes in flight"
                 )
-        retry = self.sla.retry if self.sla is not None else _DEFAULT_RETRY
-        if request.restarts >= retry.max_retries:
+        if request.restarts >= self.retry.max_retries:
             self.fault_counters.oom_cancellations += 1
             self._cancel_request(request, reason="oom")
             return False
@@ -461,7 +436,7 @@ class Manager:
                 request_id=request.request_id,
                 args={"restarts": request.restarts},
             )
-        delay = retry.backoff(request.restarts - 1)
+        delay = self.retry.backoff(request.restarts - 1)
         self.loop.call_after(delay, lambda: self._resubmit_restarted(request))
         self._notify_load()
         return True
@@ -518,15 +493,7 @@ class Manager:
                 request.latency, request.queuing_time, request.computation_time
             )
         self.fault_counters.requests_completed += 1
-        self.finished_requests.append(request)
-        if self.trace is not None:
-            self.trace.instant(
-                trace_events.REQUEST_FINISHED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-            )
-        if self._on_request_finished is not None:
-            self._on_request_finished(request)
+        self._on_terminal(request)
 
     # -- failure paths -------------------------------------------------------
 
@@ -557,20 +524,19 @@ class Manager:
                 # Kernel fault detected at retire time: the device time was
                 # consumed, but by a failed attempt — charge it to retry.
                 self._trace_task_span(task, trace_events.RETRY, self.loop.now())
-        retry = self.sla.retry if self.sla is not None else _DEFAULT_RETRY
         entries = [
             (sg, node) for sg, node in task.entries if not sg.request.terminal
         ]
         if not entries:
             self._poke_idle_workers()
             return
-        if task.attempt >= retry.max_retries:
+        if task.attempt >= self.retry.max_retries:
             for request in _distinct_requests(entries):
                 self._cancel_request(request, reason="retries_exhausted")
             self._poke_idle_workers()
             return
         task.entries = entries
-        delay = retry.backoff(task.attempt)
+        delay = self.retry.backoff(task.attempt)
         task.prepare_retry()
         self.fault_counters.retries_attempted += 1
         for request in _distinct_requests(entries):
@@ -602,14 +568,14 @@ class Manager:
         if not entries:
             return
         task.entries = entries
-        target = self._retry_target(task)
+        target = self.policies.placement.retry_target(task, self.workers)
         if target is None:
             for request in _distinct_requests(entries):
                 self._cancel_request(request, reason="no_devices")
             return
         # Cross-device copy cost applies when the retry lands on a different
         # GPU than the one holding the subgraphs' live state.
-        extra = self._migration_cost(task, target)
+        extra = self.policies.placement.migration_cost(task, target)
         self.policies.placement.on_retry(task, target)
         if self.memory_spec is not None:
             # The retry may land on a different device than the original
@@ -626,11 +592,6 @@ class Manager:
         self.scheduler.resubmit(task)
         target.submit(task, extra_cost=extra, fault=self._draw_fault(task))
         self._notify_load()
-
-    def _retry_target(self, task: BatchedTask) -> Optional[Worker]:
-        """Retry placement (placement policy): by default the original
-        worker when it still lives, else the first survivor after it."""
-        return self.policies.placement.retry_target(task, self.workers)
 
     def _device_failed(self, worker: Worker) -> None:
         """A device dropped out of the fault plan's sky."""
@@ -655,7 +616,9 @@ class Manager:
         # Queued subgraphs pinned to the dead device migrate to the first
         # survivor (the same deterministic choice the retries make), so
         # their remaining cells stay schedulable.
-        replacement = self._replacement_for(worker.worker_id)
+        replacement = self.policies.placement.replacement_for(
+            worker.worker_id, self.workers
+        )
         if replacement is not None:
             self.scheduler.repin_queued(worker.worker_id, replacement.worker_id)
             self._poke_idle_workers()
@@ -664,11 +627,6 @@ class Manager:
             for request in list(self.processor.live_requests()):
                 self._cancel_request(request, reason="no_devices")
         self._notify_load()
-
-    def _replacement_for(self, dead_worker_id: int) -> Optional[Worker]:
-        return self.policies.placement.replacement_for(
-            dead_worker_id, self.workers
-        )
 
     def fail_all_devices(self) -> None:
         """Whole-server loss (``repro.cluster`` replica failure): drop every
@@ -700,16 +658,7 @@ class Manager:
         self._release_memory(request)
         self.processor.abandon(request)
         self.fault_counters.requests_timed_out += 1
-        self.timed_out_requests.append(request)
-        if self.trace is not None:
-            self.trace.instant(
-                trace_events.REQUEST_TIMED_OUT,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-                args={"reason": reason},
-            )
-        if self._on_request_timed_out is not None:
-            self._on_request_timed_out(request)
+        self._on_terminal(request)
         if self.memory_spec is not None:
             # The freed state can make deferred members fit, and a
             # cancellation may be the last event alive (the memory-aware
@@ -757,7 +706,3 @@ def _distinct_requests(entries) -> List[InferenceRequest]:
     for sg, _ in entries:
         seen.setdefault(sg.request.request_id, sg.request)
     return list(seen.values())
-
-
-# Used when a fault plan fails tasks but no SLAConfig was given.
-_DEFAULT_RETRY = RetryPolicy()

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+from repro.spec_keys import check_keys
+
 DEFAULT_IDLE_WATTS = 50.0
 DEFAULT_ACTIVE_WATTS = 250.0
 DEFAULT_POWER_EXPONENT = 3.0
@@ -121,6 +123,7 @@ class EnergySpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "EnergySpec":
+        check_keys(cls, data)
         return cls(
             idle_watts=data.get("idle_watts", DEFAULT_IDLE_WATTS),
             active_watts=data.get("active_watts", DEFAULT_ACTIVE_WATTS),

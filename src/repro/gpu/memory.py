@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.spec_keys import check_keys
+
 #: Hidden + cell vector at h=1024 fp32 — the natural per-subgraph state
 #: footprint (mirrors ``PlacementPolicy.HIDDEN_STATE_BYTES``).
 DEFAULT_STATE_BYTES = 2 * 1024 * 4
@@ -80,6 +82,7 @@ class MemorySpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemorySpec":
+        check_keys(cls, data)
         return cls(
             capacity=data["capacity"],
             state_bytes=data.get("state_bytes", DEFAULT_STATE_BYTES),

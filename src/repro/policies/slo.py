@@ -58,16 +58,12 @@ class LazyKickPolicy(BatchFormationPolicy):
 
     name = "lazy_kick"
 
-    def __init__(
-        self,
-        margin: Optional[float] = None,
-        max_hold: Optional[float] = None,
-        predictor: Optional[LatencyPredictor] = None,
-    ):
+    def __init__(self):
         self.inner = PaperBatchFormation()
-        self.margin = margin
-        self.max_hold = max_hold
-        self.predictor = predictor
+        # Resolved from the SLA by attach_engine; unused while inert.
+        self.margin: Optional[float] = None
+        self.max_hold: Optional[float] = None
+        self.predictor: Optional[LatencyPredictor] = None
         self._manager = None
         self._wake = None
         self._wake_at = math.inf
@@ -87,22 +83,17 @@ class LazyKickPolicy(BatchFormationPolicy):
         """Called by the manager at construction.  Lazy behaviour switches
         on only when the manager carries an SLA — without one there are no
         deadlines to reason about and the policy stays a pass-through."""
-        sla = getattr(manager, "sla", None)
+        sla = manager.sla
         if sla is None:
             return
         self._manager = manager
-        if self.margin is None:
-            self.margin = getattr(sla, "kick_margin", None)
-            if self.margin is None:
-                self.margin = DEFAULT_KICK_MARGIN
-        if self.max_hold is None:
-            self.max_hold = getattr(sla, "max_hold", None)
-            if self.max_hold is None:
-                self.max_hold = DEFAULT_MAX_HOLD
-        if self.predictor is None:
-            self.predictor = getattr(sla, "predictor", None)
-            if self.predictor is None:
-                self.predictor = LatencyPredictor()
+        self.margin = (
+            sla.kick_margin if sla.kick_margin is not None else DEFAULT_KICK_MARGIN
+        )
+        self.max_hold = (
+            sla.max_hold if sla.max_hold is not None else DEFAULT_MAX_HOLD
+        )
+        self.predictor = LatencyPredictor()
         # The manager feeds the predictor from its task/request events.
         manager.predictor = self.predictor
 

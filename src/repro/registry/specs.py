@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.spec_keys import check_keys
+
 KINDS = ("batchmaker", "padded", "timeout_padded", "fold", "ideal")
 
 
@@ -112,6 +114,7 @@ class ServerSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServerSpec":
+        check_keys(cls, data)
         return cls(
             kind=data["kind"],
             model=data["model"],
@@ -282,6 +285,7 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterSpec":
+        check_keys(cls, data)
         return cls(
             replica=ServerSpec.from_dict(data["replica"]),
             num_replicas=data.get("num_replicas", 1),
@@ -383,6 +387,7 @@ class ServeSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ServeSpec":
+        check_keys(cls, data)
         server = data.get("server")
         cluster = data.get("cluster")
         return cls(

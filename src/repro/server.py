@@ -2,18 +2,27 @@
 
 Every server — BatchMaker (:mod:`repro.core`), the padding/bucketing server
 (:mod:`repro.baselines.padded`), the dynamic graph-merge server
-(:mod:`repro.baselines.fold`) and the fixed-structure ideal
-(:mod:`repro.baselines.ideal`) — accepts requests through the same
-``submit`` call against the same event loop, so the load generator and the
-experiment harness treat them interchangeably.
+(:mod:`repro.baselines.fold`), the fixed-structure ideal
+(:mod:`repro.baselines.ideal`) and the replica cluster
+(:mod:`repro.cluster`) — accepts requests through the same ``submit`` call
+against the same event loop, so the load generator and the experiment
+harness treat them interchangeably.
+
+:class:`InferenceServer` also owns the request lifecycle, the two ends of
+the paper's Figure 6 pipeline.  ``_arrive`` is where every request enters
+(the loop callback ``submit`` schedules, and the entry a cluster replica
+routes shadows through); ``_record_terminal`` is where every request
+leaves, whatever its terminal state.  They are the only places that emit
+the arrival and terminal trace instants and fire ``load_listener``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.core.request import InferenceRequest
+from repro.core.request import InferenceRequest, RequestState
 from repro.sim.events import EventLoop
+from repro.trace import events as trace_events
 
 
 def ensure_loop(loop: Optional[EventLoop]) -> EventLoop:
@@ -57,12 +66,24 @@ class InferenceServer:
     def __init__(self, loop: EventLoop, name: str):
         self.loop = loop
         self.name = name
-        self.finished: List[InferenceRequest] = []
+        finished: List[InferenceRequest] = []
+        timed_out: List[InferenceRequest] = []
+        rejected: List[InferenceRequest] = []
+        self.finished = finished
         # Requests that reached a non-success terminal state.  Only servers
-        # with SLA enforcement (BatchMaker) populate these; the baselines
-        # run every request to completion.
-        self.timed_out: List[InferenceRequest] = []
-        self.rejected: List[InferenceRequest] = []
+        # with SLA enforcement (BatchMaker, the cluster front door) populate
+        # these; the baselines run every request to completion.
+        self.timed_out = timed_out
+        self.rejected = rejected
+        # Terminal state -> (storage list, trace instant) for
+        # _record_terminal.  Held apart from the attributes so a subclass
+        # may expose those as views (the cluster reconciles on read) while
+        # terminals still append straight to the storage.
+        self._terminal_sinks = {
+            RequestState.FINISHED: (finished, trace_events.REQUEST_FINISHED),
+            RequestState.TIMED_OUT: (timed_out, trace_events.REQUEST_TIMED_OUT),
+            RequestState.REJECTED: (rejected, trace_events.REQUEST_REJECTED),
+        }
         self._next_request_id = 0
         # Tracing (repro.trace): a recorder plus this server's scope on it.
         # None by default — instrumentation sites guard on the scope, so an
@@ -79,8 +100,39 @@ class InferenceServer:
     # -- to implement --------------------------------------------------------
 
     def _accept(self, request: InferenceRequest) -> None:
-        """Called at the request's arrival time; begin serving it."""
+        """Called at the request's arrival time (from ``_arrive``); begin
+        serving it, or mark it rejected and hand it to
+        ``_record_terminal``."""
         raise NotImplementedError
+
+    # -- request lifecycle -----------------------------------------------------
+
+    def _arrive(self, request: InferenceRequest) -> None:
+        """A request arrives (now): record the arrival, then accept it."""
+        if self._trace is not None:
+            self._trace.instant(
+                trace_events.REQUEST_ARRIVAL,
+                trace_events.LIFECYCLE,
+                request_id=request.request_id,
+            )
+        self._accept(request)
+
+    def _record_terminal(self, request: InferenceRequest) -> None:
+        """A request already marked terminal leaves: append it to the list
+        its state names, record the terminal instant (with the cancel
+        reason for a non-success outcome), and fire ``load_listener``."""
+        bucket, event = self._terminal_sinks[request.state]
+        bucket.append(request)
+        if self._trace is not None:
+            reason = request.cancel_reason
+            self._trace.instant(
+                event,
+                trace_events.LIFECYCLE,
+                request_id=request.request_id,
+                args=None if reason is None else {"reason": reason},
+            )
+        if self.load_listener is not None:
+            self.load_listener()
 
     # -- tracing ---------------------------------------------------------------
 
@@ -145,7 +197,7 @@ class InferenceServer:
         if deadline is not None:
             request.deadline = when + deadline
         self._next_request_id += 1
-        self.loop.call_at(when, lambda: self._accept(request))
+        self.loop.call_at(when, lambda: self._arrive(request))
         return request
 
     def terminal_requests(self) -> List[InferenceRequest]:
@@ -154,17 +206,7 @@ class InferenceServer:
 
     def _finish_request(self, request: InferenceRequest) -> None:
         request.mark_finished(self.loop.now())
-        self.finished.append(request)
-        if self.load_listener is not None:
-            self.load_listener()
-        if self._trace is not None:
-            from repro.trace import events as trace_events
-
-            self._trace.instant(
-                trace_events.REQUEST_FINISHED,
-                trace_events.LIFECYCLE,
-                request_id=request.request_id,
-            )
+        self._record_terminal(request)
 
     def drain(self, until: Optional[float] = None) -> None:
         """Run the event loop until no work remains (or ``until``)."""

@@ -39,7 +39,10 @@ class TestDeviceLoss:
         (first alive id cyclically after the dead one)."""
         plan = FaultPlan(device_failures=[DeviceFailure(0.0, 1)])
         server = build_server(fault_plan=plan, num_gpus=4)
-        replacement = server.manager._replacement_for(1)
+        manager = server.manager
+        replacement = manager.policies.placement.replacement_for(
+            1, manager.workers
+        )
         server.drain()
         assert replacement.worker_id == 2
 
@@ -112,11 +115,10 @@ class TestLoadShedding:
             assert request.start_time is None
 
     def test_rejection_callback_fires(self):
-        seen = []
         sla = SLAConfig(max_queue_delay=1e-4)
         server = build_server(sla=sla, max_batch=4)
-        server.manager._on_request_rejected = seen.append
         run_chaos(server, rate=100000.0, num_requests=200)
+        seen = server.rejected
         assert seen
         assert all(r.state is RequestState.REJECTED for r in seen)
 
@@ -130,6 +132,24 @@ class TestLoadShedding:
         assert late.cancel_reason == "no_devices"
         assert early.terminal, "nothing may hang after total device loss"
         assert_invariants(server, [early, late])
+
+    @pytest.mark.parametrize(
+        "sla",
+        [None, SLAConfig(max_queue_delay=1.0)],
+        ids=["no_sla", "shedding_sla"],
+    )
+    def test_arrival_after_whole_server_loss_rejects(self, sla):
+        """``fail_all_devices`` (a cluster replica loss) kills every device
+        without a fault plan: a later arrival must be rejected as
+        ``"no_devices"`` — not queued forever, not shed as load."""
+        server = build_server(sla=sla, num_gpus=2)
+        server.manager.fail_all_devices()
+        request = server.submit(5)
+        server.drain()
+        assert request.state is RequestState.REJECTED
+        assert request.cancel_reason == "no_devices"
+        assert server.manager.outstanding() == 0
+        assert_invariants(server, [request])
 
     def test_projected_queue_delay_tracks_backlog(self):
         server = build_server()

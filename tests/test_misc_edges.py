@@ -59,10 +59,11 @@ class TestMigrationCost:
                 return [sg]
 
         other_worker = manager.workers[1]
-        cost = manager._migration_cost(FakeTask(), other_worker)
+        placement = manager.policies.placement
+        cost = placement.migration_cost(FakeTask(), other_worker)
         assert cost > 0
         same_worker = manager.workers[0]
-        assert manager._migration_cost(FakeTask(), same_worker) == 0.0
+        assert placement.migration_cost(FakeTask(), same_worker) == 0.0
 
 
 class TestCellTypeErrors:
