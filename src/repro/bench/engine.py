@@ -270,7 +270,10 @@ def bench_slo(depth: int = 1000, calls: int = 2000) -> Dict[str, Dict]:
         form = policy.form
         start = time.perf_counter()
         for _ in range(calls):
-            form(queue, worker)
+            # Each call is a probe: the plan is declined, so its members
+            # go back into the queue for the next call.
+            for sg, _count in form(queue, worker):
+                queue.reinsert(sg)
         elapsed = time.perf_counter() - start
         rate = calls / elapsed if elapsed > 0 else 0.0
         if name == "paper":
@@ -393,7 +396,10 @@ def bench_memory(
         form = policy.form
         start = time.perf_counter()
         for _ in range(calls):
-            form(queue, worker)
+            # Each call is a probe: the plan is declined, so its members
+            # go back into the queue for the next call.
+            for sg, _count in form(queue, worker):
+                queue.reinsert(sg)
         elapsed = time.perf_counter() - start
         rate = calls / elapsed if elapsed > 0 else 0.0
         if name == "paper":

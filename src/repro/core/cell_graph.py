@@ -1,10 +1,17 @@
-"""The per-request cell graph.
+"""The cell graph: a request's unfolded structure.
 
 Unfolding a request produces a coarse dataflow graph whose nodes are cell
 invocations and whose edges say which cell output feeds which cell input
-(§3.1's "cell graph").  Nodes carry their resolved input references —
-either request-provided values or another node's named output — and, in
-real-compute mode, their computed output rows.
+(§3.1's "cell graph").  Nodes carry their cell type and resolved input
+references — either request-provided values or another node's named
+output.
+
+A graph is *structure* only.  Partitioning (:mod:`repro.core.subgraph`)
+adds the derived structure the engine walks: each node's local subgraph
+index and one plan per subgraph.  Execution state — which nodes
+completed, what they computed — lives per request
+(``InferenceRequest.done`` and ``InferenceRequest.outputs``), so requests
+of the same shape can share one graph (``Model.shape_key``; DESIGN.md §3).
 """
 
 from __future__ import annotations
@@ -40,26 +47,15 @@ class NodeOutput:
 
 
 class CellNode:
-    """One cell invocation in a request's cell graph."""
+    """One cell invocation in a cell graph.  Immutable once added: a node
+    may be shared by every request whose graph has the same shape."""
 
-    __slots__ = (
-        "node_id",
-        "cell_type",
-        "inputs",
-        "outputs",
-        "completed",
-        "subgraph_id",
-        "launched",
-    )
+    __slots__ = ("node_id", "cell_type", "inputs")
 
     def __init__(self, node_id: int, cell_type: CellType, inputs: Dict[str, Any]):
         self.node_id = node_id
         self.cell_type = cell_type
         self.inputs = inputs  # input name -> ValueInput | NodeOutput
-        self.outputs: Optional[Dict[str, Any]] = None
-        self.completed = False
-        self.launched = False
-        self.subgraph_id: Optional[int] = None
 
     def predecessors(self) -> List[int]:
         """Node ids this node consumes outputs from (with duplicates removed,
@@ -75,19 +71,29 @@ class CellNode:
 
 
 class CellGraph:
-    """A growable DAG of cell invocations for one request.
+    """A growable DAG of cell invocations.
 
     Most models unfold statically at arrival; the dynamic Seq2Seq decoder
     extends the graph while the request runs (see
-    :meth:`repro.core.request_processor.RequestProcessor.extend_request`).
+    :meth:`repro.core.request_processor.RequestProcessor.handle_task_completion`).
+    Node ids are dense: node ``i`` is the ``i``-th node added.
+
+    The partition fields are filled by
+    :func:`repro.core.subgraph.partition_graph`, for every node added so
+    far; a node added later is unpartitioned (index -1) until the next call.
     """
 
     def __init__(self):
-        self._nodes: Dict[int, CellNode] = {}
-        self._successors: Dict[int, List[int]] = {}
-        self._next_id = 0
+        self._nodes: List[CellNode] = []
+        self._successors: List[List[int]] = []
+        self._census: Dict[str, int] = {}
         # (node_id, output name) pairs whose values form the request result.
         self.result_refs: List[Tuple[int, str]] = []
+        # Partition: node id -> local subgraph index, and local subgraph
+        # index -> SubgraphPlan.  A successor is internal to a node's
+        # subgraph exactly when their indices are equal.
+        self.membership: List[int] = []
+        self.plans: List[Any] = []
 
     # -- construction -----------------------------------------------------
 
@@ -99,11 +105,12 @@ class CellGraph:
             raise ValueError(
                 f"node of type {cell_type.name!r} missing inputs: {missing}"
             )
+        nodes = self._nodes
         for ref in inputs.values():
             if isinstance(ref, NodeOutput):
-                if ref.node_id not in self._nodes:
+                if not 0 <= ref.node_id < len(nodes):
                     raise ValueError(f"input references unknown node {ref.node_id}")
-                producer = self._nodes[ref.node_id]
+                producer = nodes[ref.node_id]
                 if ref.output not in producer.cell_type.output_names:
                     raise ValueError(
                         f"node {ref.node_id} ({producer.cell_type.name!r}) has "
@@ -111,12 +118,15 @@ class CellGraph:
                     )
             elif not isinstance(ref, ValueInput):
                 raise TypeError(f"inputs must be ValueInput/NodeOutput, got {ref!r}")
-        node = CellNode(self._next_id, cell_type, dict(inputs))
-        self._nodes[node.node_id] = node
-        self._successors[node.node_id] = []
+        node_id = len(nodes)
+        node = CellNode(node_id, cell_type, dict(inputs))
+        nodes.append(node)
+        self._successors.append([])
         for pred in node.predecessors():
-            self._successors[pred].append(node.node_id)
-        self._next_id += 1
+            self._successors[pred].append(node_id)
+        name = cell_type.name
+        self._census[name] = self._census.get(name, 0) + 1
+        self.membership.append(-1)
         return node
 
     def mark_result(self, node: CellNode, output: str) -> None:
@@ -134,7 +144,7 @@ class CellGraph:
         return self._nodes[node_id]
 
     def nodes(self) -> Iterator[CellNode]:
-        return iter(self._nodes.values())
+        return iter(self._nodes)
 
     def successors(self, node_id: int) -> Sequence[int]:
         return self._successors[node_id]
@@ -143,25 +153,30 @@ class CellGraph:
         return len(self._nodes)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return 0 <= node_id < len(self._nodes)
 
     # -- results -----------------------------------------------------------
 
-    def collect_results(self) -> List[Any]:
-        """Gather the declared result values (real-compute mode)."""
+    def collect_results(
+        self, outputs: Optional[Sequence[Optional[Dict[str, Any]]]] = None
+    ) -> List[Any]:
+        """Gather the declared result values from one request's per-node
+        ``outputs`` (real-compute mode; None when nothing was computed)."""
         results = []
         for node_id, output in self.result_refs:
-            node = self._nodes[node_id]
-            if node.outputs is None:
+            values = (
+                outputs[node_id]
+                if outputs is not None and node_id < len(outputs)
+                else None
+            )
+            if values is None:
                 raise RuntimeError(
                     f"result node {node_id} has not been executed"
                 )
-            results.append(node.outputs[output])
+            results.append(values[output])
         return results
 
     def cell_type_census(self) -> Dict[str, int]:
-        """Node counts per cell type, used by tests and the Fold baseline."""
-        census: Dict[str, int] = {}
-        for node in self._nodes.values():
-            census[node.cell_type.name] = census.get(node.cell_type.name, 0) + 1
-        return census
+        """Node counts per cell type (kept by ``add_node``), used by the
+        dynamic decoder, tests and the Fold baseline."""
+        return dict(self._census)

@@ -279,9 +279,13 @@ class Manager:
         extra = self.policies.placement.migration_cost(task, worker)
         if self.memory_spec is not None:
             self._reserve_for_task(task, worker)
+        now = self.loop.now()
+        worker_id = worker.worker_id
         for subgraph, _ in task.entries:
-            subgraph.request.mark_started(self.loop.now())
-            subgraph.last_worker = worker.worker_id
+            request = subgraph.request
+            if request.start_time is None:
+                request.mark_started(now)
+            subgraph.last_worker = worker_id
         worker.submit(task, extra_cost=extra, fault=self._draw_fault(task))
         self._notify_load()
 
@@ -428,6 +432,7 @@ class Manager:
         self.processor.forget(request)
         request.graph = None
         request.subgraphs = {}
+        request.local_subgraphs = []
         request.remaining_nodes = 0
         if self.trace is not None:
             self.trace.instant(

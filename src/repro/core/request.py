@@ -8,7 +8,7 @@ time* (first execution -> result returned).  Those two CDFs are Figure 9.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.cell_graph import CellGraph
 
@@ -25,6 +25,8 @@ class RequestState(enum.Enum):
 TERMINAL_STATES = frozenset(
     {RequestState.FINISHED, RequestState.TIMED_OUT, RequestState.REJECTED}
 )
+_PENDING = RequestState.PENDING
+_RUNNING = RequestState.RUNNING
 
 
 class InferenceRequest:
@@ -34,8 +36,15 @@ class InferenceRequest:
         self.request_id = request_id
         self.payload = payload
         self.arrival_time = arrival_time
+        # The cell graph is structure only and may be shared with other
+        # requests of the same shape; this request's execution state over it
+        # is kept here, indexed by node id (DESIGN.md §3).
         self.graph: Optional[CellGraph] = None
         self.subgraphs: dict = {}  # subgraph_id -> Subgraph, set by the processor
+        self.local_subgraphs: list = []  # graph-local subgraph index -> Subgraph
+        self.done = bytearray()  # 1 once the node has completed
+        # Per-node output values; real-compute mode only (see node_outputs).
+        self.outputs: Optional[List[Optional[Dict[str, Any]]]] = None
         self.state = RequestState.PENDING
 
         # Timing (seconds; virtual or wall clock depending on the server).
@@ -88,7 +97,20 @@ class InferenceRequest:
 
     @property
     def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+        # Identity tests: this runs per node on the completion path, and
+        # hashing an Enum member for a set lookup costs a Python call.
+        state = self.state
+        return state is not _PENDING and state is not _RUNNING
+
+    def node_outputs(self) -> List[Optional[Dict[str, Any]]]:
+        """The per-node output slots (real-compute mode), allocated on first
+        use and grown with the graph."""
+        outputs = self.outputs
+        if outputs is None:
+            outputs = self.outputs = [None] * len(self.graph)
+        elif len(outputs) < len(self.graph):
+            outputs.extend([None] * (len(self.graph) - len(outputs)))
+        return outputs
 
     # -- metrics -------------------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -106,9 +106,9 @@ class CellTypeQueue:
       per *bucket* (``None`` for unpinned, a worker id for pinned), holding
       every subgraph that may have ready nodes in that bucket.  Entries are
       never deleted eagerly; staleness is detected when popped by checking
-      the subgraph's live state.  ``_heap_entries`` counts how many entries
-      each subgraph currently has in each bucket's heap so that state
-      transitions never push duplicates.
+      the subgraph's live state.  ``_heap_entries`` holds the
+      ``(subgraph_id, bucket)`` keys that currently have an entry, so that
+      state transitions never push duplicates.
     """
 
     def __init__(self, cell_type: CellType, config: CellTypeConfig):
@@ -124,7 +124,7 @@ class CellTypeQueue:
         self.slot = -1
         self._next_seq = 0
         self._heaps: Dict[Optional[int], List[Tuple[int, Subgraph]]] = {}
-        self._heap_entries: Dict[Tuple[int, Optional[int]], int] = {}
+        self._heap_entries: Set[Tuple[int, Optional[int]]] = set()
 
     # -- ready-node accounting ---------------------------------------------
 
@@ -136,16 +136,16 @@ class CellTypeQueue:
         sg.queue_seq = self._next_seq
         self._next_seq += 1
         self.subgraphs[sg.subgraph_id] = sg
-        self._ready_total += sg.ready_count()
+        self._ready_total += len(sg.ready)
         if self.arrays is not None:
             self.arrays.ready[self.slot] = self._ready_total
-        if sg.ready_count() > 0:
+        if sg.ready:
             self._register(sg)
 
     def remove(self, sg: Subgraph) -> None:
         """Drop an exhausted subgraph (no nodes left to submit)."""
         self.subgraphs.pop(sg.subgraph_id, None)
-        self._ready_total -= sg.ready_count()
+        self._ready_total -= len(sg.ready)
         if self.arrays is not None:
             self.arrays.ready[self.slot] = self._ready_total
         sg.owner = None
@@ -157,14 +157,14 @@ class CellTypeQueue:
         self._ready_total += delta
         if self.arrays is not None:
             self.arrays.ready[self.slot] = self._ready_total
-        if delta > 0 and sg.ready_count() > 0:
+        if delta > 0 and sg.ready:
             self._register(sg)
         # delta < 0 (or ready now 0): the heap entry goes stale and is
         # discarded lazily when popped.
 
     def on_pin_changed(self, sg: Subgraph) -> None:
         """``sg`` was pinned or unpinned: its eligibility bucket moved."""
-        if sg.ready_count() > 0:
+        if sg.ready:
             self._register(sg)
         # The entry under the previous bucket is now stale; lazy cleanup.
 
@@ -172,56 +172,36 @@ class CellTypeQueue:
         """Ensure ``sg`` has an entry in its current bucket's heap."""
         bucket = sg.pinned
         key = (sg.subgraph_id, bucket)
-        if self._heap_entries.get(key, 0) == 0:
+        if key not in self._heap_entries:
             heapq.heappush(
                 self._heaps.setdefault(bucket, []), (sg.queue_seq, sg)
             )
-            self._heap_entries[key] = 1
-
-    def _pop_entry(self, bucket: Optional[int]) -> Optional[Subgraph]:
-        """Pop the heap entry for ``bucket``; caller validates liveness."""
-        heap = self._heaps.get(bucket)
-        if not heap:
-            return None
-        _, sg = heapq.heappop(heap)
-        key = (sg.subgraph_id, bucket)
-        count = self._heap_entries.get(key, 0) - 1
-        if count > 0:
-            self._heap_entries[key] = count
-        else:
-            self._heap_entries.pop(key, None)
-        return sg
-
-    def _entry_live(self, sg: Subgraph, bucket: Optional[int]) -> bool:
-        return (
-            sg.owner is self
-            and sg.ready_count() > 0
-            and sg.pinned == bucket
-        )
+            self._heap_entries.add(key)
 
     def pop_eligible(self, worker_id: int) -> Optional[Subgraph]:
         """Pop the first subgraph (by arrival order) with ready nodes that
         ``worker_id`` may execute: unpinned, or pinned to that worker.
         Stale heap entries encountered along the way are discarded."""
+        unpinned = self._heaps.get(None)
+        pinned = self._heaps.get(worker_id)
+        entries = self._heap_entries
         while True:
-            unpinned = self._heaps.get(None)
-            pinned = self._heaps.get(worker_id)
-            have_u = bool(unpinned)
-            have_p = bool(pinned)
-            if not have_u and not have_p:
-                return None
-            if have_u and (not have_p or unpinned[0][0] < pinned[0][0]):
-                bucket = None
+            if unpinned and (not pinned or unpinned[0][0] < pinned[0][0]):
+                bucket, heap = None, unpinned
+            elif pinned:
+                bucket, heap = worker_id, pinned
             else:
-                bucket = worker_id
-            sg = self._pop_entry(bucket)
-            if sg is not None and self._entry_live(sg, bucket):
+                return None
+            _, sg = heapq.heappop(heap)
+            # Each (subgraph, bucket) has at most one entry (``_register``).
+            entries.remove((sg.subgraph_id, bucket))
+            if sg.owner is self and sg.ready and sg.pinned == bucket:
                 return sg
 
     def reinsert(self, sg: Subgraph) -> None:
         """Put a popped-but-still-eligible subgraph back in its bucket's
         heap (its ``queue_seq`` restores the original FIFO position)."""
-        if sg.owner is self and sg.ready_count() > 0:
+        if sg.owner is self and sg.ready:
             self._register(sg)
 
     def __repr__(self) -> str:
@@ -307,7 +287,11 @@ class Scheduler:
         return self._batch(chosen, worker)
 
     def _batch(self, queue: CellTypeQueue, worker) -> int:
-        """Algorithm 1's ``Batch``: submit up to MaxTasksToSubmit tasks."""
+        """Algorithm 1's ``Batch``: submit up to MaxTasksToSubmit tasks.
+
+        The formation policy hands over a plan whose members it has popped
+        from the queue's eligibility heaps; committing consumes them, and a
+        declined plan puts them back."""
         num_tasks = 0
         while num_tasks < self.config.max_tasks_to_submit:
             plan = self.policies.formation.form(queue, worker)
@@ -318,6 +302,8 @@ class Scheduler:
                 self._commit(queue, worker, plan)
                 num_tasks += 1
             else:
+                for sg, _ in plan:
+                    queue.reinsert(sg)
                 break
         return num_tasks
 
@@ -329,22 +315,31 @@ class Scheduler:
     ) -> None:
         """Materialise a planned batch: pop the ready nodes, build the task,
         bind subgraphs to the worker (placement policy), update
-        (optimistic) dependencies, and submit."""
+        (optimistic) dependencies, and submit.  Each member goes back into
+        the eligibility heaps while it has ready nodes."""
         entries = []
+        worker_id = worker.worker_id
+        bind = self.policies.placement.bind
         for sg, count in plan:
+            partial = count < len(sg.ready)
             node_ids = sg.take_ready(count)
             if len(node_ids) != count:
                 raise RuntimeError(
                     f"subgraph {sg.subgraph_id}: planned {count} nodes but "
                     f"only {len(node_ids)} were ready"
                 )
+            node = sg.graph.node
             for nid in node_ids:
-                entries.append((sg, sg.graph.node(nid)))
-            self.policies.placement.bind(sg, worker.worker_id)
+                entries.append((sg, node(nid)))
+            bind(sg, worker_id)
             sg.mark_submitted(node_ids)
             if sg.exhausted():
                 queue.remove(sg)
                 self.policies.formation.on_subgraph_removed(queue, sg)
+            elif partial:
+                # Nodes newly made ready, or a new pin, re-register the
+                # member; ready nodes left behind by the budget do not.
+                queue.reinsert(sg)
         task = BatchedTask(self._next_task_id, queue.cell_type, entries)
         self._next_task_id += 1
         self._adjust_running(queue, 1)

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cell import CellType
-from repro.core.cell_graph import CellNode, NodeOutput, ValueInput
+from repro.core.cell_graph import CellNode, ValueInput
 from repro.core.subgraph import Subgraph
 from repro.tensor import ops
 
@@ -30,8 +30,9 @@ class BatchedTask:
     ):
         if not entries:
             raise ValueError("a batched task needs at least one entry")
+        name = cell_type.name
         for _, node in entries:
-            if node.cell_type.name != cell_type.name:
+            if node.cell_type.name != name:
                 raise ValueError(
                     f"task {task_id}: node {node.node_id} has type "
                     f"{node.cell_type.name!r}, expected {cell_type.name!r}"
@@ -71,10 +72,7 @@ class BatchedTask:
 
     def subgraphs(self) -> List[Subgraph]:
         """Distinct subgraphs contributing nodes, in first-seen order."""
-        seen: Dict[int, Subgraph] = {}
-        for subgraph, _ in self.entries:
-            seen.setdefault(subgraph.subgraph_id, subgraph)
-        return list(seen.values())
+        return list(dict.fromkeys([subgraph for subgraph, _ in self.entries]))
 
     def nodes_per_subgraph(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
@@ -89,39 +87,33 @@ class BatchedTask:
 
         Requires every NodeOutput dependency to have been executed already;
         the scheduler guarantees this via FIFO submission order on a pinned
-        worker plus release-after-external-completion.
+        worker plus release-after-external-completion.  Output rows go to
+        each request's per-node output slots.
         """
         cell = self.cell_type
+        entries = self.entries
+        slots = [subgraph.request.node_outputs() for subgraph, _ in entries]
         batched_inputs: Dict[str, np.ndarray] = {}
         for name in cell.input_names:
             rows = []
-            for subgraph, node in self.entries:
+            for (_, node), outputs in zip(entries, slots):
                 ref = node.inputs[name]
                 if isinstance(ref, ValueInput):
                     rows.append(np.asarray(ref.value))
                 else:
-                    producer = subgraph.graph.node(ref.node_id)
-                    if producer.outputs is None:
+                    produced = outputs[ref.node_id]
+                    if produced is None:
                         raise RuntimeError(
                             f"task {self.task_id}: node {node.node_id} input "
                             f"{name!r} depends on unexecuted node {ref.node_id}"
                         )
-                    rows.append(np.asarray(producer.outputs[ref.output]))
+                    rows.append(np.asarray(produced[ref.output]))
             batched_inputs[name] = ops.stack_rows(rows)
         batched_outputs = cell.compute(batched_inputs)
-        for name in cell.output_names:
-            out = batched_outputs[name]
-            for i, (_, node) in enumerate(self.entries):
-                if node.outputs is None:
-                    node.outputs = {}
-                node.outputs[name] = out[i]
-        for _, node in self.entries:
-            node.launched = True
-
-    def mark_launched_sim(self) -> None:
-        """Simulation-only mode: record launch without computing values."""
-        for _, node in self.entries:
-            node.launched = True
+        for i, ((_, node), outputs) in enumerate(zip(entries, slots)):
+            outputs[node.node_id] = {
+                name: batched_outputs[name][i] for name in cell.output_names
+            }
 
     def __repr__(self) -> str:
         return (

@@ -85,8 +85,6 @@ class Worker:
         will_fail = fault is not None and fault.kind == KERNEL_FAIL
         if self.real_compute and not will_fail:
             task.execute()
-        else:
-            task.mark_launched_sim()
         composition = frozenset(
             subgraph.subgraph_id for subgraph in task.subgraphs()
         )

@@ -4,12 +4,13 @@ This corresponds to the two things a BatchMaker user provides (§4.1): the
 definition of each cell, and a function that unfolds each request into its
 cell graph.  The extra hooks (``phases``, ``extend``, ``reference_forward``)
 exist for the baselines, the dynamic-decoding extension, and correctness
-testing respectively.
+testing respectively; ``shape_key`` lets same-shape requests share one
+unfolded graph.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.cell import CellType
 from repro.core.cell_graph import CellGraph, CellNode
@@ -35,12 +36,26 @@ class Model:
     # -- optional ----------------------------------------------------------------
 
     def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
+        self,
+        graph: CellGraph,
+        completed: CellNode,
+        payload: Any,
+        outputs: Optional[Dict[str, Any]] = None,
     ) -> List[CellNode]:
         """Dynamic unfolding hook: called when ``completed`` finishes; may
-        append new nodes (e.g. feed-previous decoding until <eos>).  The
-        default is static unfolding: no growth."""
+        append new nodes (e.g. feed-previous decoding until <eos>).
+        ``outputs`` holds the completed node's output values in
+        real-compute mode and is None in simulation.  The default is static
+        unfolding: no growth, and the engine never calls it."""
         return []
+
+    def shape_key(self, payload: Any) -> Optional[Hashable]:
+        """A hashable name for the shape of ``payload``'s cell graph, or
+        None.  Requests with equal keys share one unfolded, partitioned
+        graph, so a model may return a key only when its graphs never grow
+        (no ``extend``) and node values are never read (simulation).  The
+        default, None, unfolds every request."""
+        return None
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         """``[(cell_type_name, steps), ...]`` description used by the padded

@@ -245,24 +245,28 @@ class BeamSeq2SeqModel(Model):
         graph.beam_steps = 1
 
     def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
+        self,
+        graph: CellGraph,
+        completed: CellNode,
+        payload: Any,
+        outputs: Optional[Dict[str, Any]] = None,
     ) -> List[CellNode]:
         if completed.cell_type.name not in (FIRST_SELECT_CELL, SELECT_CELL):
             return []
         spec = self._normalize(payload)
         if graph.beam_steps >= spec["max_steps"]:
             return []
-        if completed.outputs is not None:
-            best_token = int(np.asarray(completed.outputs["tokens"]).reshape(-1)[0])
+        if outputs is not None:
+            best_token = int(np.asarray(outputs["tokens"]).reshape(-1)[0])
             if best_token == EOS_TOKEN:
                 return []
 
         k = self.beam_width
         prev_decoders = graph.beam_decoders[completed.node_id]
-        if completed.outputs is not None:
+        if outputs is not None:
             parents = [
                 int(p)
-                for p in np.asarray(completed.outputs["parents"]).reshape(-1)[:k]
+                for p in np.asarray(outputs["parents"]).reshape(-1)[:k]
             ]
         else:
             # Simulation-only: linear wiring preserves the graph's shape.

@@ -38,6 +38,15 @@ def _normalize_tokens(payload: Any) -> List[int]:
     return tokens
 
 
+def _sequence_length(payload: Any) -> int:
+    """The number of steps a payload unfolds to (validated as above)."""
+    if isinstance(payload, (int, np.integer)):
+        if payload < 1:
+            raise ValueError(f"sequence length must be >= 1, got {payload}")
+        return int(payload)
+    return len(_normalize_tokens(payload))
+
+
 class LSTMChainModel(Model):
     """LSTM language model over token sequences.
 
@@ -133,8 +142,13 @@ class LSTMChainModel(Model):
         else:
             graph.mark_result(prev, "h")
 
+    def shape_key(self, payload: Any) -> Optional[int]:
+        # In simulation the token values are never read: a chain's graph is
+        # determined by its length.
+        return None if self.real else _sequence_length(payload)
+
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
-        steps = len(_normalize_tokens(payload))
+        steps = _sequence_length(payload)
         phase_list = [(LSTM_CELL, steps)]
         if self._proj_type is not None:
             phase_list.append((PROJECTION_CELL, 1))

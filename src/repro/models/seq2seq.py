@@ -230,17 +230,23 @@ class Seq2SeqModel(Model):
             graph.mark_result(node, "token")
 
     def extend(
-        self, graph: CellGraph, completed: CellNode, payload: Any
+        self,
+        graph: CellGraph,
+        completed: CellNode,
+        payload: Any,
+        outputs: Optional[Dict[str, Any]] = None,
     ) -> List[CellNode]:
+        if completed.cell_type.name != DECODER_CELL:
+            return []
         spec = self._normalize(payload)
-        if not spec["dynamic"] or completed.cell_type.name != DECODER_CELL:
+        if not spec["dynamic"]:
             return []
         # Stop once <eos> was emitted or the decode budget is exhausted.
         decoded = graph.cell_type_census().get(DECODER_CELL, 0)
         if decoded >= spec["max_decode"]:
             return []
-        if completed.outputs is not None:
-            token = int(np.asarray(completed.outputs["token"]).reshape(()))
+        if outputs is not None:
+            token = int(np.asarray(outputs["token"]).reshape(()))
             if token == EOS_TOKEN:
                 return []
         node = graph.add_node(
@@ -253,6 +259,16 @@ class Seq2SeqModel(Model):
         )
         graph.mark_result(node, "token")
         return [node]
+
+    def shape_key(self, payload: Any) -> Optional[Tuple[int, int]]:
+        # A static simulated graph is determined by its two lengths; dynamic
+        # graphs grow per request and real ones read their values.
+        if self.real:
+            return None
+        spec = self._normalize(payload)
+        if spec["dynamic"]:
+            return None
+        return (len(spec["src"]), spec["tgt_len"])
 
     def phases(self, payload: Any) -> List[Tuple[str, int]]:
         spec = self._normalize(payload)

@@ -11,8 +11,11 @@ references those structures are held to:
   scan over those recounts;
 * :class:`ReferenceBatchFormation` — ``FormBatchedTask`` as a full FIFO
   scan past ineligible subgraphs;
+* :func:`per_request_unfolding` — makes a server unfold and partition
+  every request anew instead of sharing one graph per shape;
 * :func:`brute_force_twin` — rewires a freshly built server or cluster
-  onto these references, and its router onto the linear scan.
+  onto these references, its router onto the linear scan, and its
+  engines onto per-request unfolding.
 
 The equivalence and fingerprint suites run the production engine against
 its twin under identical seeds and require bit-identical outcomes;
@@ -95,8 +98,12 @@ class ReferenceBatchFormation(BatchFormationPolicy):
 def form_batched_task(
     scheduler: "Scheduler", queue: "CellTypeQueue", worker: "Worker"
 ) -> Plan:
-    """The plan the scheduler's own formation policy would commit next."""
-    return scheduler.policies.formation.form(queue, worker)
+    """The plan the scheduler's own formation policy would commit next.
+    A probe: the plan is declined, so its members go back into the queue."""
+    plan = scheduler.policies.formation.form(queue, worker)
+    for sg, _ in plan:
+        queue.reinsert(sg)
+    return plan
 
 
 def form_batched_task_reference(queue: "CellTypeQueue", worker: "Worker") -> Plan:
@@ -119,17 +126,31 @@ def use_references(bundle: PolicyBundle) -> PolicyBundle:
     return bundle
 
 
+def _no_shape(payload) -> None:
+    return None
+
+
+def per_request_unfolding(server):
+    """Make a freshly built ``BatchMakerServer`` unfold and partition every
+    request itself, as if its model had no ``shape_key``, and return it.
+    Shared graphs must not change any outcome; the twin suites and
+    ``tests/test_graph_sharing.py`` compare the two."""
+    server.manager.processor._shape_key = _no_shape
+    return server
+
+
 def brute_force_twin(server):
     """Turn a freshly built ``BatchMakerServer`` or ``ClusterServer`` into
     its brute-force twin, before the first submit, and return it.
 
-    Every scheduler runs :func:`use_references`.  A cluster's router stops
-    routing off the load index and scans its candidates instead, and
-    replicas the autoscaler spawns later are rewired as they are built.
+    Every scheduler runs :func:`use_references` and every engine
+    :func:`per_request_unfolding`.  A cluster's router stops routing off
+    the load index and scans its candidates instead, and replicas the
+    autoscaler spawns later are rewired as they are built.
     """
     if not isinstance(server, ClusterServer):
         use_references(server.manager.policies)
-        return server
+        return per_request_unfolding(server)
     router = server.router
     router._index = None
     router._mindex = None

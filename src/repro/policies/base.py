@@ -123,10 +123,14 @@ class BatchFormationPolicy:
     name = "abstract"
 
     def form(self, queue: "CellTypeQueue", worker: "Worker") -> Plan:
-        """Plan (without committing) ``(subgraph, node_count)`` takes, up to
-        the queue's max batch.  Planning must leave the queue's observable
-        state unchanged — the caller may decline the plan under the
-        min-batch rule."""
+        """Plan ``(subgraph, node_count)`` takes, up to the queue's max
+        batch, without taking any node.  Members popped from the queue's
+        eligibility heaps (``pop_eligible``) stay popped: the scheduler's
+        commit consumes them directly.  Whoever drops a member puts it back
+        with ``queue.reinsert`` — the policy for members it leaves out of
+        the returned plan, the scheduler for a plan it declines under the
+        min-batch rule.  A member cancelled or evicted meanwhile is stale
+        and needs nothing."""
         raise NotImplementedError
 
     def attach_engine(self, manager) -> None:

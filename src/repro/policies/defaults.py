@@ -115,7 +115,8 @@ class PaperBatchFormation(BatchFormationPolicy):
 
     Walks the queue's lazy eligibility heaps (O(batch + stale entries));
     the plans are bit-identical to a full FIFO scan
-    (:class:`repro.oracles.ReferenceBatchFormation`).
+    (:class:`repro.oracles.ReferenceBatchFormation`).  The members stay
+    popped for the commit (see ``BatchFormationPolicy.form``).
     """
 
     name = "paper"
@@ -127,12 +128,7 @@ class PaperBatchFormation(BatchFormationPolicy):
             sg = queue.pop_eligible(worker.worker_id)
             if sg is None:
                 break
-            take = min(sg.ready_count(), budget)
+            take = min(len(sg.ready), budget)
             plan.append((sg, take))
             budget -= take
-        # Planning must not mutate queue state (the caller may decline the
-        # plan under the min-batch rule), so restore every popped entry;
-        # ``queue_seq`` keys keep the FIFO order intact.
-        for sg, _ in plan:
-            queue.reinsert(sg)
         return plan

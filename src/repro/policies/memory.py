@@ -162,6 +162,7 @@ class MemoryAwareFormation(BatchFormationPolicy):
                 continue
             self.deferrals += 1
             deferred = True
+            queue.reinsert(sg)
         if deferred and not kept:
             # A wholly-deferred round: the members wait for memory that only
             # a completion, cancellation or eviction can free — but every

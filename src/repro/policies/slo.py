@@ -140,6 +140,7 @@ class LazyKickPolicy(BatchFormationPolicy):
             return plan
         self.holds += 1
         for sg, _ in plan:
+            queue.reinsert(sg)
             request = sg.request
             if request.deadline is not None:
                 self.held_requests[request.request_id] = request.deadline

@@ -140,5 +140,4 @@ class NoMixFormation(BatchFormationPolicy):
         sg = queue.pop_eligible(worker.worker_id)
         if sg is None:
             return []
-        queue.reinsert(sg)
         return [(sg, min(sg.ready_count(), queue.config.max_batch))]

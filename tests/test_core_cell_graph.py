@@ -153,5 +153,9 @@ class TestPartitioning:
     def test_subgraph_ids_are_assigned(self):
         model = LSTMChainModel()
         graph, subgraphs = self._partition(model, 5)
+        # Membership is a graph-local index; the request's subgraph at that
+        # index carries the id.
+        by_index = {sg.local_index: sg for sg in subgraphs}
         for node in graph.nodes():
-            assert node.subgraph_id == subgraphs[0].subgraph_id
+            sg = by_index[graph.membership[node.node_id]]
+            assert sg.subgraph_id == subgraphs[0].subgraph_id

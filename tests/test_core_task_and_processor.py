@@ -82,8 +82,10 @@ class TestBatchedTask:
                     "c": zeros[None, :],
                 }
             )
-            np.testing.assert_allclose(node.outputs["h"], expected["h"][0], atol=1e-6)
-            assert node.launched
+            outputs = request.outputs[node.node_id]
+            np.testing.assert_allclose(outputs["h"], expected["h"][0], atol=1e-6)
+            # Every output of the cell was scattered into the node's slot.
+            assert set(outputs) == {"h", "c"}
 
     def test_execute_with_unexecuted_dependency_raises(self):
         params = ParameterStore(seed=0)

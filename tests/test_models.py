@@ -115,8 +115,8 @@ class TestSeq2SeqModel:
         payload = {"src": 2, "dynamic": True, "max_decode": 10}
         graph = unfold(model, payload)
         decoder = next(n for n in graph.nodes() if n.cell_type.name == "decoder")
-        decoder.outputs = {"token": np.asarray(EOS_TOKEN), "h": None, "c": None}
-        assert model.extend(graph, decoder, payload) == []
+        outputs = {"token": np.asarray(EOS_TOKEN), "h": None, "c": None}
+        assert model.extend(graph, decoder, payload, outputs) == []
 
     def test_extend_ignores_encoder_completions(self):
         model = Seq2SeqModel()
